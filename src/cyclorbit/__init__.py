@@ -9,7 +9,6 @@ whose group order grows exponentially, and exact combinatorics for the
 average number of equations the reduction emits.
 """
 
-from ._backend import BACKEND, available_backends
 from .congruence import (
     EMPTY,
     ArithmeticProgression,
@@ -46,7 +45,6 @@ from .analysis import (
     verify_moment_identities,
 )
 from .bench import (
-    compare_backends,
     instance_size_bits,
     ratio_band,
     run_primorial_scaling,
@@ -69,6 +67,9 @@ from .strmatch import MatchResult, kmp_find_all, rotate_right, rotation_exponent
 
 __version__ = "0.1.0"
 
+# Every kernel is plain Python; callers that record the backend read this.
+BACKEND = "pure"
+
 __all__ = [
     "BACKEND",
     "EMPTY",
@@ -90,10 +91,8 @@ __all__ = [
     "apply",
     "apply_power",
     "asymptotic_ratio_report",
-    "available_backends",
     "brute_force_cycle_solutions",
     "brute_force_orbit",
-    "compare_backends",
     "cycle_count_moments",
     "decide_orbit",
     "decide_solvable",

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _backend
 from .congruence import CostCounter, solve_system
 from .orbit import reduce
 from .permutation import Permutation, apply_power, order
@@ -189,10 +188,8 @@ def measure_average_cost(n: int, trials: int, rng_seed: int) -> AverageCostStats
     rows = []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(t,)))
-        mapping = rng.permutation(n)
-        cycles0 = _backend.cycles_of_mapping(mapping.tolist())
-        k_cycles = len(cycles0) + n - sum(len(c) for c in cycles0)
-        g = Permutation(n, [[j + 1 for j in c] for c in cycles0])
+        g = Permutation.from_mapping(rng.permutation(n).tolist())
+        k_cycles = len(g.cycles) + n - sum(len(c) for c in g.cycles)
         bits = rng.integers(0, 2, size=n)
         v = "".join("1" if b else "0" for b in bits.tolist())
         # order(g) routinely overflows 64 bits, so the exponent comes from a

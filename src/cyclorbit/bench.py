@@ -1,4 +1,4 @@
-"""Scaling measurements: worst-case family, large random instances, backends.
+"""Scaling measurements: worst-case family and large random instances.
 
 The interesting contrast: on the prime-length cycle family the group order
 (the cost of any enumeration) grows superpolynomially in the degree while
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend, _purekernels
 from .congruence import CostCounter, solve_system
 from .orbit import reduce
 from .permutation import Permutation, apply_power, order, primorial_permutation
@@ -144,8 +143,7 @@ def run_random_scaling(
     rows = []
     for idx, n in enumerate(sizes):
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(idx,)))
-        cycles0 = _backend.cycles_of_mapping(rng.permutation(n).tolist())
-        g = Permutation(n, [[j + 1 for j in c] for c in cycles0])
+        g = Permutation.from_mapping(rng.permutation(n).tolist())
         v = "".join("1" if b else "0" for b in rng.integers(0, 2, size=n).tolist())
         r_star = random.Random(int.from_bytes(rng.bytes(16), "big")).randrange(order(g))
         w = apply_power(g, r_star, v)
@@ -167,46 +165,3 @@ def ratio_band(report: ScalingReport, window: float = 10.0) -> tuple[float, floa
         raise ValueError("no rows in the requested window")
     return min(ratios), max(ratios)
 
-
-@dataclass(frozen=True)
-class BackendTiming:
-    kernel: str
-    backend: str
-    seconds: float
-
-
-def compare_backends(rng_seed: int = 0, repeats: int = 3) -> list[BackendTiming]:
-    """Best-of-N wall times for each kernel on each importable backend.
-
-    The workloads are fixed-size and seeded, so the table is comparable
-    across runs; the pure rows are the fallback's price tag.
-    """
-    rng = np.random.default_rng(rng_seed)
-    text = "".join("1" if b else "0" for b in rng.integers(0, 2, size=200_000).tolist())
-    pattern = text[50_000:50_400]
-    mapping = rng.permutation(4096).tolist()
-    v = rng.integers(0, 2, size=4096).tolist()
-    workload_mapping = rng.permutation(200_000).tolist()
-    backends = _backend.available_backends()
-
-    def best(func, *args):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            func(*args)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    out = []
-    for name in sorted(backends):
-        mod = backends[name]
-        out.append(BackendTiming("kmp_search_count", name, best(mod.kmp_search_count, text, pattern)))
-        out.append(BackendTiming("orbit_scan", name, best(mod.orbit_scan, mapping, v, v, 256)))
-        out.append(
-            BackendTiming("cycles_of_mapping", name, best(mod.cycles_of_mapping, workload_mapping))
-        )
-    # the selected backend must never lose to the fallback by definition of
-    # the selection rule, but both must agree on results; asserted in tests
-    assert all(t.seconds >= 0 for t in out)
-    assert _purekernels is backends["pure"]
-    return out

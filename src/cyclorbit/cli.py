@@ -17,8 +17,8 @@ from .analysis import (
     measure_average_cost,
     verify_moment_identities,
 )
-from .bench import compare_backends, ratio_band, run_primorial_scaling
-from .congruence import CongruenceSystem, solve_system
+from .bench import ratio_band, run_primorial_scaling
+from .congruence import CongruenceSystem, clip, parse_int, solve_system
 from .crt_solver import CrtStats, decide_solvable
 from .oracle import OrderBoundExceeded, brute_force_orbit
 from .orbit import decide_orbit
@@ -67,13 +67,11 @@ def parse_instance_text(text: str) -> Instance:
         if key not in fields:
             raise InstanceError(f"missing key {key!r}")
     try:
-        n = int(fields["n"])
-    except ValueError:
-        raise InstanceError(
-            f"line {lines['n']}: n must be an integer, got {fields['n']!r}"
-        ) from None
+        n = parse_int(fields["n"], "n")
+    except ValueError as exc:
+        raise InstanceError(f"line {lines['n']}: {exc}") from None
     if n < 1:
-        raise InstanceError(f"line {lines['n']}: n must be >= 1, got {n}")
+        raise InstanceError(f"line {lines['n']}: n must be >= 1, got {clip(fields['n'])}")
     alphabet = fields["alphabet"]
     if not alphabet:
         raise InstanceError(f"line {lines['alphabet']}: alphabet is empty")
@@ -87,7 +85,7 @@ def parse_instance_text(text: str) -> Instance:
         value = fields[key]
         if len(value) != n:
             raise InstanceError(
-                f"line {lines[key]}: {key} has length {len(value)}, expected {n}"
+                f"line {lines[key]}: {key} has length {len(value)}, expected {clip(str(n))}"
             )
         for pos, ch in enumerate(value):
             if ch not in alphabet:
@@ -196,26 +194,14 @@ def _cmd_bench(args) -> int:
         if args.csv:
             _write_csv(args.csv, report.csv_rows())
         return EXIT_YES
-    if args.mode == "average":
-        stats = measure_average_cost(args.n, args.trials, args.seed)
-        print(
-            f"n={stats.n} trials={stats.trials} mean_cycles={stats.mean_cycles:.4f} "
-            f"(se {stats.se_cycles:.4f}) mean_word_ops={stats.mean_word_ops:.2f} "
-            f"max_word_ops={stats.max_word_ops} mean_max_bits={stats.mean_max_bits:.1f}"
-        )
-        if args.csv:
-            _write_csv(args.csv, stats.csv_rows())
-        return EXIT_YES
-    timings = compare_backends(rng_seed=args.seed)
-    print(f"{'kernel':>20} {'backend':>10} {'seconds':>12}")
-    for t in timings:
-        print(f"{t.kernel:>20} {t.backend:>10} {t.seconds:>12.6f}")
+    stats = measure_average_cost(args.n, args.trials, args.seed)
+    print(
+        f"n={stats.n} trials={stats.trials} mean_cycles={stats.mean_cycles:.4f} "
+        f"(se {stats.se_cycles:.4f}) mean_word_ops={stats.mean_word_ops:.2f} "
+        f"max_word_ops={stats.max_word_ops} mean_max_bits={stats.mean_max_bits:.1f}"
+    )
     if args.csv:
-        _write_csv(
-            args.csv,
-            [("kernel", "backend", "seconds")]
-            + [(t.kernel, t.backend, f"{t.seconds:.6g}") for t in timings],
-        )
+        _write_csv(args.csv, stats.csv_rows())
     return EXIT_YES
 
 
@@ -251,9 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print E[K^3]/ln(n)^3 up to N")
     p.set_defaults(func=_cmd_stirling)
 
-    p = sub.add_parser("bench", help="scaling and backend measurements")
-    p.add_argument("--mode", choices=("primorial", "average", "backends"),
-                   default="primorial")
+    p = sub.add_parser("bench", help="scaling and average-cost measurements")
+    p.add_argument("--mode", choices=("primorial", "average"), default="primorial")
     p.add_argument("--max-i", type=int, default=12, help="primorial mode: largest i")
     p.add_argument("--n", type=int, default=100, help="average mode: degree")
     p.add_argument("--trials", type=int, default=1000, help="average mode: trials")

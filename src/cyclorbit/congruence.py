@@ -10,6 +10,7 @@ deliberately dumb oracle the solver is tested against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 WORD_BITS = 64
@@ -99,6 +100,33 @@ def progression(offset: int, period: int) -> ArithmeticProgression:
     return ArithmeticProgression(offset % period, period)
 
 
+_CLIP = 40
+
+
+def clip(text: str) -> str:
+    """text for an error message: anything past 40 characters is cut off and counted."""
+    return text if len(text) <= _CLIP else f"{text[:_CLIP]}... ({len(text)} characters)"
+
+
+def parse_int(token: str, what: str) -> int:
+    """int(token), or a ValueError that names what and echoes at most a
+    clipped token.  A decimal past the interpreter's digit limit is reported
+    by its digit count."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    digits = token.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if digits.isdecimal():
+        raise ValueError(
+            f"{what} has {len(digits)} digits, more than the "
+            f"{sys.get_int_max_str_digits()} allowed"
+        )
+    raise ValueError(f"{what} must be an integer, got {clip(repr(token))}")
+
+
 class SystemFormatError(ValueError):
     """Malformed congruence-system text; line is 1-based."""
 
@@ -139,17 +167,22 @@ class CongruenceSystem:
                 continue
             parts = line.split()
             if len(parts) != 3 or parts[1] != "mod":
-                raise SystemFormatError(f"expected 'a mod b', got {line!r}", lineno)
-            try:
-                a, b = int(parts[0]), int(parts[2])
-            except ValueError:
                 raise SystemFormatError(
-                    f"residue and modulus must be integers, got {line!r}", lineno
-                ) from None
+                    f"expected 'a mod b', got {clip(repr(line))}", lineno
+                )
+            try:
+                a = parse_int(parts[0], "residue")
+                b = parse_int(parts[2], "modulus")
+            except ValueError as exc:
+                raise SystemFormatError(str(exc), lineno) from None
             if b < 1:
-                raise SystemFormatError(f"modulus must be >= 1, got {b}", lineno)
+                raise SystemFormatError(
+                    f"modulus must be >= 1, got {clip(parts[2])}", lineno
+                )
             if not 0 <= a < b:
-                raise SystemFormatError(f"residue {a} not in [0, {b})", lineno)
+                raise SystemFormatError(
+                    f"residue {clip(parts[0])} not in [0, {clip(parts[2])})", lineno
+                )
             eqs.append((a, b))
         return cls(tuple(eqs))
 

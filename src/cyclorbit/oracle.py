@@ -7,7 +7,6 @@ between the two is real evidence.
 
 from __future__ import annotations
 
-from . import _backend
 from .congruence import ArithmeticProgression
 from .orbit import NOT_IN_ORBIT, OrbitAnswer
 from .permutation import Configuration, Permutation, order
@@ -25,6 +24,31 @@ def brute_force_cycle_solutions(vc: str, wc: str) -> tuple[int, ...]:
     if len(vc) != len(wc):
         raise ValueError(f"projection lengths differ: {len(vc)} vs {len(wc)}")
     return tuple(h for h in range(len(vc)) if rotate_right(vc, h) == wc)
+
+
+def orbit_scan(mapping, v, w, max_steps):
+    """All r in [0, max_steps) with g^r v == w, stepping g once per candidate.
+
+    mapping is the 0-based image table of g; v and w are equal-length lists
+    of symbol codes.  The configuration is advanced incrementally, never
+    recomputed from scratch, so the scan costs O(n * max_steps).
+    """
+    n = len(mapping)
+    if len(v) != n or len(w) != n:
+        raise ValueError("configuration length does not match the mapping")
+    # nxt[i] = cur[inv[i]]: position i of g(x) holds the symbol of x at g^-1(i)
+    inv = [0] * n
+    for j in range(n):
+        inv[mapping[j]] = j
+    cur = list(v)
+    tgt = list(w)
+    hits = []
+    for r in range(max_steps):
+        if cur == tgt:
+            hits.append(r)
+        if r + 1 < max_steps:
+            cur = [cur[j] for j in inv]
+    return hits
 
 
 def brute_force_orbit(
@@ -46,7 +70,7 @@ def brute_force_orbit(
     if n_steps > bound:
         raise OrderBoundExceeded(f"order {n_steps} exceeds the bound {bound}")
     codes = {ch: i for i, ch in enumerate(sorted(set(v) | set(w)))}
-    hits = _backend.orbit_scan(
+    hits = orbit_scan(
         g.mapping(), [codes[ch] for ch in v], [codes[ch] for ch in w], n_steps
     )
     if not hits:
@@ -54,7 +78,8 @@ def brute_force_orbit(
     first = hits[0]
     gap = hits[1] - hits[0] if len(hits) > 1 else n_steps
     # hits over one full period must be evenly spaced with gap | order
-    assert n_steps % gap == 0
-    assert hits == list(range(first, n_steps, gap))
-    assert first < gap
+    if n_steps % gap or hits != list(range(first, n_steps, gap)) or first >= gap:
+        raise RuntimeError(
+            f"orbit scan hits {hits[:8]} are not one progression mod {n_steps}"
+        )
     return OrbitAnswer(True, ArithmeticProgression(first, gap))

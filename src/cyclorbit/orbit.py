@@ -115,5 +115,6 @@ def decide_orbit(
     if solutions.is_empty:
         return NOT_IN_ORBIT
     answer = OrbitAnswer(True, solutions)
-    assert apply_power(g, answer.witness, v) == w
+    if apply_power(g, answer.witness, v) != w:
+        raise RuntimeError(f"witness r={answer.witness} does not carry v to w")
     return answer

@@ -89,6 +89,11 @@ class Permutation:
         self.cycles = tuple(kept)
         self._image = None
 
+    @classmethod
+    def from_mapping(cls, mapping) -> Permutation:
+        """The permutation of [1, len(mapping)] whose 0-based image table is mapping."""
+        return cls(len(mapping), [[j + 1 for j in c] for c in cycles_of_mapping(mapping)])
+
     def mapping(self):
         """0-based image table: mapping()[j] == g(j+1) - 1."""
         if self._image is None:
@@ -119,6 +124,31 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({self.n}, {format_permutation(self)!r})"
+
+
+def cycles_of_mapping(mapping):
+    """Cycles of length >= 2 of a 0-based permutation table.
+
+    Each cycle starts at its smallest element and the cycles are ordered by
+    that element; fixed points are omitted.
+    """
+    n = len(mapping)
+    seen = bytearray(n)
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        j = mapping[start]
+        if j == start:
+            continue
+        cyc = [start]
+        while j != start:
+            seen[j] = 1
+            cyc.append(j)
+            j = mapping[j]
+        out.append(cyc)
+    return out
 
 
 def order(g: Permutation) -> int:

@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass
 
-from . import _backend
-
 
 @dataclass(frozen=True)
 class MatchResult:
@@ -14,11 +12,55 @@ class MatchResult:
     comparisons: int
 
 
+def kmp_search_count(text, pattern):
+    """All 0-based occurrences of pattern in text, plus symbol comparisons spent.
+
+    Overlapping matches are reported.  Every equality test between two
+    symbols counts exactly one comparison, both while building the failure
+    table and while scanning, so the count is an exact machine-independent
+    cost for the search.
+    """
+    n = len(text)
+    m = len(pattern)
+    if m == 0:
+        raise ValueError("empty pattern")
+    fail = [0] * m
+    comparisons = 0
+    k = 0
+    for i in range(1, m):
+        ci = pattern[i]
+        while True:
+            comparisons += 1
+            if ci == pattern[k]:
+                k += 1
+                break
+            if k == 0:
+                break
+            k = fail[k - 1]
+        fail[i] = k
+    positions = []
+    q = 0
+    for i in range(n):
+        ci = text[i]
+        while True:
+            comparisons += 1
+            if ci == pattern[q]:
+                q += 1
+                break
+            if q == 0:
+                break
+            q = fail[q - 1]
+        if q == m:
+            positions.append(i - m + 1)
+            q = fail[q - 1]
+    return positions, comparisons
+
+
 def kmp_find_all(text: str, pattern: str) -> MatchResult:
     """Knuth-Morris-Pratt search for all occurrences of pattern in text."""
     if not pattern:
         raise ValueError("empty pattern")
-    positions, comparisons = _backend.kmp_search_count(text, pattern)
+    positions, comparisons = kmp_search_count(text, pattern)
     return MatchResult(tuple(p + 1 for p in positions), comparisons)
 
 
@@ -49,7 +91,7 @@ def rotation_exponents(vc: str, wc: str, counter=None) -> tuple[int, ...]:
         if counter is not None:
             counter.add_word_ops(1)
         return (0,) if vc == wc else ()
-    positions, comparisons = _backend.kmp_search_count(wc + wc, vc)
+    positions, comparisons = kmp_search_count(wc + wc, vc)
     if counter is not None:
         counter.add_word_ops(comparisons)
     return tuple(p for p in positions if p < k)

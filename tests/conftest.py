@@ -1,26 +1,8 @@
-import pytest
 from hypothesis import HealthCheck, settings
-
-from cyclorbit import _backend
 
 settings.register_profile(
     "default",
     deadline=None,
-    suppress_health_check=[
-        HealthCheck.too_slow,
-        # kernel_backend patches module attributes for the whole test; it
-        # does not need resetting between generated examples
-        HealthCheck.function_scoped_fixture,
-    ],
+    suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
-
-
-@pytest.fixture(params=sorted(_backend.available_backends()))
-def kernel_backend(request, monkeypatch):
-    """Run the test once per importable kernel backend."""
-    mod = _backend.available_backends()[request.param]
-    monkeypatch.setattr(_backend, "kmp_search_count", mod.kmp_search_count)
-    monkeypatch.setattr(_backend, "orbit_scan", mod.orbit_scan)
-    monkeypatch.setattr(_backend, "cycles_of_mapping", mod.cycles_of_mapping)
-    return request.param

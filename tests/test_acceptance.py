@@ -36,7 +36,7 @@ from cyclorbit import (
     solve_system,
     verify_moment_identities,
 )
-from cyclorbit._backend import cycles_of_mapping
+from cyclorbit.permutation import cycles_of_mapping
 from cyclorbit.oracle import brute_force_orbit
 
 V_EXAMPLE = "010001111"

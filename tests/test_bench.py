@@ -2,13 +2,11 @@ import pytest
 
 from cyclorbit import (
     Permutation,
-    compare_backends,
     instance_size_bits,
     ratio_band,
     run_primorial_scaling,
     run_random_scaling,
 )
-from cyclorbit._backend import available_backends
 
 
 def test_instance_size_bits():
@@ -60,11 +58,3 @@ def test_csv_rows_header():
     assert rows[0][0] == "label"
     assert len(rows) == 3
 
-
-def test_compare_backends_covers_all():
-    timings = compare_backends(rng_seed=1, repeats=1)
-    names = sorted(available_backends())
-    kernels = {"kmp_search_count", "orbit_scan", "cycles_of_mapping"}
-    seen = {(t.kernel, t.backend) for t in timings}
-    assert seen == {(k, b) for k in kernels for b in names}
-    assert all(t.seconds >= 0 for t in timings)

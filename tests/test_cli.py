@@ -90,6 +90,14 @@ def test_solve_malformed(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_oversized_n(tmp_path, capsys):
+    path = write(tmp_path, "inst.txt", f"n {'9' * 5000}\nalphabet 01\nperm\nv 0\nw 0\n")
+    assert main(["solve", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "5000 digits" in err
+    assert len(err) < 200
+
+
 def test_solve_missing_file(capsys):
     assert main(["solve", "/nonexistent/instance.txt"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
@@ -105,6 +113,14 @@ def test_congruence_command(tmp_path, capsys):
     path = write(tmp_path, "oops.txt", "1 mod\n")
     assert main(["congruence", path]) == EXIT_INPUT
     assert "line 1" in capsys.readouterr().err
+
+
+def test_congruence_oversized_residue(tmp_path, capsys):
+    path = write(tmp_path, "sys.txt", f"{'9' * 5000} mod 7\n")
+    assert main(["congruence", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "5000 digits" in err
+    assert len(err) < 200
 
 
 def test_crt_check_command(tmp_path, capsys):
@@ -151,12 +167,6 @@ def test_bench_average_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "n,trial,k_cycles,word_ops,max_bits"
     assert len(lines) == 31
-
-
-def test_bench_backends(capsys):
-    assert main(["bench", "--mode", "backends", "--seed", "2"]) == EXIT_YES
-    out = capsys.readouterr().out
-    assert "kmp_search_count" in out
 
 
 def test_fuzzed_instances_never_crash(tmp_path, capsys):

@@ -8,6 +8,7 @@ from cyclorbit import (
     parse_permutation,
     primorial_permutation,
 )
+from cyclorbit import oracle
 from cyclorbit.oracle import (
     OrderBoundExceeded,
     brute_force_cycle_solutions,
@@ -66,7 +67,14 @@ def test_length_mismatch():
         brute_force_orbit(g, "01", "010")
 
 
-def test_orbit_scan_backends_agree(kernel_backend):
+def test_brute_force_mixed_alphabet():
     g = parse_permutation("(1,2,3)(4,5)", 6)
     answer = brute_force_orbit(g, "abcde1", "bcaed1")
     assert answer.in_orbit
+
+
+def test_progression_check_raises(monkeypatch):
+    g = Permutation(4, [(1, 2, 3, 4)])
+    monkeypatch.setattr(oracle, "orbit_scan", lambda *args: [0, 1, 3])
+    with pytest.raises(RuntimeError):
+        brute_force_orbit(g, "0000", "0000")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,6 +86,25 @@ def test_decide_identity_permutation():
     assert decide_orbit(g, "010", "011") is NOT_IN_ORBIT
 
 
+def test_witness_check_survives_optimize():
+    # under python -O an assert would vanish; the witness check must not
+    code = (
+        "import cyclorbit.orbit as o\n"
+        "o.apply_power = lambda g, r, v: '0' * len(v)\n"
+        "try:\n"
+        "    o.decide_orbit(o.Permutation(2, [(1, 2)]), '01', '10')\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('decide_orbit returned with a wrong witness')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_solvable_per_cycle_but_empty_system():
     # each cycle alone admits rotations, yet no common exponent exists:
     # rotating only the 2-cycle forces x odd while the 4-cycle forces x = 0 mod 4
@@ -94,7 +118,7 @@ def test_solvable_per_cycle_but_empty_system():
 
 @settings(max_examples=400)
 @given(st.data())
-def test_decide_agrees_with_brute_force(kernel_backend, data):
+def test_decide_agrees_with_brute_force(data):
     g = data.draw(permutations_st)
     v = data.draw(binary_config(g.n))
     if data.draw(st.booleans()):

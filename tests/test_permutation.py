@@ -16,6 +16,7 @@ from cyclorbit import (
     primorial_permutation,
     project,
 )
+from cyclorbit.permutation import cycles_of_mapping
 
 
 def random_permutation(draw, max_n=12):
@@ -80,6 +81,20 @@ def test_mapping_is_zero_based_image():
     assert m[1 - 1] == 6 - 1
     assert m[4 - 1] == 8 - 1
     assert m[8 - 1] == 4 - 1
+
+
+def test_cycles_of_mapping_contract():
+    assert cycles_of_mapping([1, 0, 2, 4, 3]) == [[0, 1], [3, 4]]
+    assert cycles_of_mapping([0, 1, 2]) == []
+    assert cycles_of_mapping([1, 2, 0]) == [[0, 1, 2]]
+
+
+@given(permutations_st)
+def test_from_mapping_roundtrip(g):
+    h = Permutation.from_mapping(g.mapping())
+    assert h.n == g.n
+    assert h.mapping() == g.mapping()
+    assert order(h) == order(g)
 
 
 def test_parse_error_positions():

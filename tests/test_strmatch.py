@@ -31,7 +31,7 @@ def test_overlapping_matches():
 
 
 @given(st.data())
-def test_kmp_matches_naive_scan(kernel_backend, data):
+def test_kmp_matches_naive_scan(data):
     alpha = data.draw(st.sampled_from(["01", "abc"]))
     text = data.draw(st.text(alphabet=alpha, min_size=0, max_size=80))
     pattern = data.draw(st.text(alphabet=alpha, min_size=1, max_size=12))
@@ -74,7 +74,7 @@ def test_rotation_exponents_length_mismatch():
 
 @settings(max_examples=300)
 @given(st.data())
-def test_rotation_exponents_match_brute_force(kernel_backend, data):
+def test_rotation_exponents_match_brute_force(data):
     # the load-bearing direction check: the match offset in the doubled
     # target IS the right-rotation count, compared against trying them all
     vc = data.draw(st.one_of(short_binary, short_abc))
