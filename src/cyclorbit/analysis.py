@@ -11,15 +11,12 @@ measure_average_cost samples the actual solver cost on random instances.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from .bench import _random_orbit_instance
 from .congruence import CostCounter, solve_system
 from .orbit import reduce
-from .permutation import Permutation, apply_power, order
 
 
 class StirlingTable:
@@ -187,16 +184,8 @@ def measure_average_cost(n: int, trials: int, rng_seed: int) -> AverageCostStats
         raise ValueError("need n >= 1 and trials >= 1")
     rows = []
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(t,)))
-        g = Permutation.from_mapping(rng.permutation(n).tolist())
+        g, v, r, w = _random_orbit_instance(n, rng_seed, t)
         k_cycles = len(g.cycles) + n - sum(len(c) for c in g.cycles)
-        bits = rng.integers(0, 2, size=n)
-        v = "".join("1" if b else "0" for b in bits.tolist())
-        # order(g) routinely overflows 64 bits, so the exponent comes from a
-        # stdlib generator (arbitrary precision) seeded off the trial stream
-        exp_rng = random.Random(int.from_bytes(rng.bytes(16), "big"))
-        r = exp_rng.randrange(order(g))
-        w = apply_power(g, r, v)
         system = reduce(g, v, w)
         assert system is not None and len(system) == len(g.cycles)
         counter = CostCounter()

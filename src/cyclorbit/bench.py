@@ -77,6 +77,19 @@ def instance_size_bits(g: Permutation, v: str, w: str, alphabet_size: int = 2) -
     return bits + per_symbol * (len(v) + len(w))
 
 
+def _random_orbit_instance(n: int, rng_seed: int, key: int):
+    """(g, v, r, w): a uniform permutation g of [1, n], a uniform binary v, a
+    uniform exponent r in [0, order(g)) and w = g^r v, drawn in that order
+    from the stream spawned off (rng_seed, key)."""
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(key,)))
+    g = Permutation.from_mapping(rng.permutation(n).tolist())
+    v = "".join("1" if b else "0" for b in rng.integers(0, 2, size=n).tolist())
+    # order(g) routinely overflows 64 bits, so the exponent comes from a
+    # stdlib generator (arbitrary precision) seeded off the same stream
+    r = random.Random(int.from_bytes(rng.bytes(16), "big")).randrange(order(g))
+    return g, v, r, apply_power(g, r, v)
+
+
 def _measure_instance(g, v, w, label, r_star, repeats):
     times = []
     for _ in range(repeats):
@@ -142,11 +155,7 @@ def run_random_scaling(
         raise ValueError(f"need repeats >= 1, got {repeats}")
     rows = []
     for idx, n in enumerate(sizes):
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(idx,)))
-        g = Permutation.from_mapping(rng.permutation(n).tolist())
-        v = "".join("1" if b else "0" for b in rng.integers(0, 2, size=n).tolist())
-        r_star = random.Random(int.from_bytes(rng.bytes(16), "big")).randrange(order(g))
-        w = apply_power(g, r_star, v)
+        g, v, r_star, w = _random_orbit_instance(n, rng_seed, idx)
         rows.append(_measure_instance(g, v, w, f"n={n}", r_star, repeats))
     return ScalingReport("random", rng_seed, repeats, rows)
 

@@ -96,14 +96,18 @@ def parse_instance_text(text: str) -> Instance:
     return Instance(n, alphabet, g, fields["v"], fields["w"])
 
 
-def load_instance(path: str) -> Instance:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InstanceError(f"{path} is not utf-8 text: {exc}") from None
+
+
+def load_instance(path: str) -> Instance:
+    text = _read_text(path)
     try:
         return parse_instance_text(text)
     except InstanceError:
@@ -135,25 +139,15 @@ def _cmd_oracle(args) -> int:
     return EXIT_YES if answer.in_orbit else EXIT_NO
 
 
-def _read_system(path: str) -> CongruenceSystem:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return CongruenceSystem.from_text(fh.read())
-    except OSError as exc:
-        raise InstanceError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InstanceError(f"{path} is not utf-8 text: {exc}") from None
-
-
 def _cmd_congruence(args) -> int:
-    system = _read_system(args.system)
+    system = CongruenceSystem.from_text(_read_text(args.system))
     solutions = solve_system(system)
     print(solutions)
     return EXIT_YES if not solutions.is_empty else EXIT_NO
 
 
 def _cmd_crt_check(args) -> int:
-    system = _read_system(args.system)
+    system = CongruenceSystem.from_text(_read_text(args.system))
     stats = CrtStats()
     solvable = decide_solvable(system, stats)
     print("SOLVABLE" if solvable else "UNSOLVABLE")
@@ -254,9 +248,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

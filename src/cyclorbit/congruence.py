@@ -258,8 +258,6 @@ def solve_system(
         b = b * step.period
         if counter is not None:
             counter.observe(a, b)
-    # a is already in [0, b) because each shift is the minimal one
-    assert 0 <= a < b
     return ArithmeticProgression(a, b)
 
 
@@ -280,6 +278,6 @@ def naive_intersection(
     if len(hits) == 1:
         return ArithmeticProgression(hits[0], span)
     d = hits[1] - hits[0]
-    assert span % d == 0
-    assert hits == list(range(hits[0], span, d))
+    if span % d or hits != list(range(hits[0], span, d)):
+        raise RuntimeError(f"scan hits {hits[:8]} are not one progression mod {span}")
     return ArithmeticProgression(hits[0], d)

@@ -11,6 +11,9 @@ congruences rests on.
 from __future__ import annotations
 
 import math
+import re
+
+from .congruence import parse_int
 
 Configuration = str
 
@@ -33,10 +36,10 @@ class Cycle:
     __slots__ = ("elements",)
 
     def __init__(self, elements):
-        elems = tuple(int(e) for e in elements)
+        elems = tuple(map(int, elements))
         if not elems:
             raise ValueError("a cycle needs at least one element")
-        if any(e < 1 for e in elems):
+        if min(elems) < 1:
             raise ValueError(f"cycle indices must be >= 1, got {elems}")
         if len(set(elems)) != len(elems):
             raise ValueError(f"duplicate index inside cycle {elems}")
@@ -67,7 +70,7 @@ class Permutation:
     fixed points, as does every index not mentioned at all.
     """
 
-    __slots__ = ("n", "cycles", "_image")
+    __slots__ = ("n", "cycles")
 
     def __init__(self, n: int, cycles=()):
         if n < 1:
@@ -77,17 +80,18 @@ class Permutation:
         for c in cycles:
             if not isinstance(c, Cycle):
                 c = Cycle(c)
-            for e in c.elements:
-                if e > n:
-                    raise ValueError(f"index {e} outside [1, {n}]")
-                if e in seen:
-                    raise ValueError(f"index {e} appears in more than one cycle")
-                seen.add(e)
-            if len(c) >= 2:
+            elems = c.elements
+            if max(elems) > n or not seen.isdisjoint(elems):
+                # no repeats inside a cycle: only [1, n] or an earlier cycle can clash
+                bad = next(e for e in elems if e > n or e in seen)
+                if bad > n:
+                    raise ValueError(f"index {bad} outside [1, {n}]")
+                raise ValueError(f"index {bad} appears in more than one cycle")
+            seen.update(elems)
+            if len(elems) >= 2:
                 kept.append(c)
         self.n = n
         self.cycles = tuple(kept)
-        self._image = None
 
     @classmethod
     def from_mapping(cls, mapping) -> Permutation:
@@ -96,15 +100,13 @@ class Permutation:
 
     def mapping(self):
         """0-based image table: mapping()[j] == g(j+1) - 1."""
-        if self._image is None:
-            image = list(range(self.n))
-            for c in self.cycles:
-                e = c.elements
-                k = len(e)
-                for t in range(k):
-                    image[e[t] - 1] = e[(t + 1) % k] - 1
-            self._image = image
-        return self._image
+        image = list(range(self.n))
+        for c in self.cycles:
+            e = c.elements
+            k = len(e)
+            for t in range(k):
+                image[e[t] - 1] = e[(t + 1) % k] - 1
+        return image
 
     def moved_mask(self):
         """bytearray of length n, entry j-1 set iff some cycle contains j."""
@@ -191,9 +193,10 @@ def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
 
 def project(v: Configuration, c: Cycle) -> str:
     """v restricted to the cycle's indices, in the cycle's stored order."""
-    if any(j > len(v) for j in c.elements):
-        raise ValueError(f"cycle {c!r} reaches outside the configuration")
-    return "".join(v[j - 1] for j in c.elements)
+    try:
+        return "".join([v[j - 1] for j in c.elements])
+    except IndexError:
+        raise ValueError(f"cycle {c!r} reaches outside the configuration") from None
 
 
 def format_permutation(g: Permutation) -> str:
@@ -201,52 +204,52 @@ def format_permutation(g: Permutation) -> str:
     return "".join(repr(c) for c in g.cycles)
 
 
+_TOKEN = re.compile(r"\d+|\S")
+
+
 def parse_permutation(text: str, n: int) -> Permutation:
     """Parse cycle notation like "(6,5,7,3,2,1)(4,8)" into a Permutation of [1, n].
 
     Whitespace is allowed between cycles and around indices.  Blank text is
     the identity.  Raises CycleNotationError carrying the character position
-    of the first problem: bad syntax, an index outside [1, n], or an index
-    used twice.
+    of the first problem: bad syntax, an index outside [1, n] or past the
+    interpreter's digit limit, or an index used twice.
     """
     cycles = []
-    seen: dict[int, int] = {}
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "(":
-            raise CycleNotationError(f"expected '(' but found {ch!r}", i)
-        i += 1
-        elems = []
-        while True:
-            while i < length and text[i].isspace():
-                i += 1
-            start = i
-            while i < length and text[i].isdigit():
-                i += 1
-            if i == start:
-                raise CycleNotationError("expected a cycle index", i)
-            val = int(text[start:i])
+    seen = set()
+    elems = None  # indices of the open cycle; None between cycles
+    want_index = False
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if elems is None:
+            if tok != "(":
+                raise CycleNotationError(f"expected '(' but found {tok[0]!r}", m.start())
+            elems = []
+            want_index = True
+        elif want_index:
+            if not tok.isdecimal():
+                raise CycleNotationError("expected a cycle index", m.start())
+            try:
+                val = parse_int(tok, "index")
+            except ValueError as exc:
+                raise CycleNotationError(str(exc), m.start()) from None
             if not 1 <= val <= n:
-                raise CycleNotationError(f"index {val} outside [1, {n}]", start)
+                raise CycleNotationError(f"index {val} outside [1, {n}]", m.start())
             if val in seen:
-                raise CycleNotationError(f"index {val} already used", start)
-            seen[val] = start
+                raise CycleNotationError(f"index {val} already used", m.start())
+            seen.add(val)
             elems.append(val)
-            while i < length and text[i].isspace():
-                i += 1
-            if i < length and text[i] == ",":
-                i += 1
-                continue
-            if i < length and text[i] == ")":
-                i += 1
-                break
-            raise CycleNotationError("expected ',' or ')'", i)
-        cycles.append(Cycle(elems))
+            want_index = False
+        elif tok == ",":
+            want_index = True
+        elif tok == ")":
+            cycles.append(Cycle(elems))
+            elems = None
+        else:
+            raise CycleNotationError("expected ',' or ')'", m.start())
+    if elems is not None:
+        message = "expected a cycle index" if want_index else "expected ',' or ')'"
+        raise CycleNotationError(message, len(text))
     return Permutation(n, cycles)
 
 

@@ -98,6 +98,22 @@ def test_solve_oversized_n(tmp_path, capsys):
     assert len(err) < 200
 
 
+def test_solve_oversized_index(tmp_path, capsys):
+    path = write(tmp_path, "inst.txt", f"n 2\nalphabet 01\nperm (1,{'9' * 5000})\nv 01\nw 10\n")
+    assert main(["solve", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "position" in err and "5000 digits" in err
+    assert len(err) < 200
+
+
+def test_not_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("n 2\nalphabet \xe9\n".encode("latin-1"))
+    for command in ("solve", "congruence"):
+        assert main([command, str(path)]) == EXIT_INPUT
+        assert "not utf-8" in capsys.readouterr().err
+
+
 def test_solve_missing_file(capsys):
     assert main(["solve", "/nonexistent/instance.txt"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err

@@ -145,6 +145,14 @@ def test_naive_intersection_singleton_period():
     assert naive_intersection(CongruenceSystem(((0, 2), (1, 2)))) is EMPTY
 
 
+@pytest.mark.parametrize("hits", [{0, 1, 3}, {0, 4}])
+def test_naive_intersection_progression_check_raises(monkeypatch, hits):
+    # {0, 1, 3} is not evenly spaced; the gap of {0, 4} does not divide the span 6
+    monkeypatch.setattr(CongruenceSystem, "satisfied_by", lambda self, x: x in hits)
+    with pytest.raises(RuntimeError):
+        naive_intersection(CongruenceSystem(((0, 6),)))
+
+
 def test_cost_counter_word_charges():
     c = CostCounter()
     c.charge(1, 1)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,17 +99,42 @@ def test_from_mapping_roundtrip(g):
 
 
 def test_parse_error_positions():
-    for text, pos in [
-        ("(1,2", 4),
-        ("(1,,2)", 3),
-        ("(0)", 1),
-        ("(1,2)(2,3)", 6),
-        ("x", 0),
-        ("(9)", 1),
+    for text, pos, message in [
+        ("(1,2", 4, "expected ',' or ')'"),
+        ("(1,,2)", 3, "expected a cycle index"),
+        ("(0)", 1, "index 0 outside [1, 8]"),
+        ("(1,2)(2,3)", 6, "index 2 already used"),
+        ("x", 0, "expected '(' but found 'x'"),
+        ("(9)", 1, "index 9 outside [1, 8]"),
+        ("(9,x", 1, "index 9 outside [1, 8]"),
+        ("(1,1", 3, "index 1 already used"),
+        ("(1,2)(2,", 6, "index 2 already used"),
+        (" ( 1 2)", 5, "expected ',' or ')'"),
+        ("(1,)", 3, "expected a cycle index"),
+        ("()", 1, "expected a cycle index"),
+        ("(1)x", 3, "expected '(' but found 'x'"),
+        ("(1,2))", 5, "expected '(' but found ')'"),
+        ("(1 ,2)(3", 8, "expected ',' or ')'"),
+        ("(1", 2, "expected ',' or ')'"),
+        # a superscript two is a digit to str.isdigit but not a decimal one
+        ("(1,²)", 3, "expected a cycle index"),
+        ("(1," + "9" * 5000 + ")", 3,
+         f"index has 5000 digits, more than the {sys.get_int_max_str_digits()} allowed"),
     ]:
         with pytest.raises(CycleNotationError) as exc:
             parse_permutation(text, 8)
         assert exc.value.position == pos, text
+        assert str(exc.value) == f"{message} (at position {pos})", text
+
+
+@given(st.text(alphabet="(),0123456789 x²٣", max_size=30), st.integers(1, 12))
+def test_parse_fails_typed_or_roundtrips(text, n):
+    try:
+        g = parse_permutation(text, n)
+    except CycleNotationError as exc:
+        assert 0 <= exc.position <= len(text)
+    else:
+        assert parse_permutation(format_permutation(g), n) == g
 
 
 def test_parse_allows_whitespace():
@@ -136,6 +162,11 @@ def test_project_running_example():
     assert project("101110001", g.cycles[0]) == "010101"
     assert project("010001111", g.cycles[1]) == "011"
     assert project("101110001", g.cycles[1]) == "101"
+
+
+def test_project_outside_configuration():
+    with pytest.raises(ValueError):
+        project("0101", Cycle((2, 5)))
 
 
 def test_apply_length_mismatch():
