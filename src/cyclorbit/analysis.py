@@ -187,10 +187,12 @@ def measure_average_cost(n: int, trials: int, rng_seed: int) -> AverageCostStats
         g, v, r, w = _random_orbit_instance(n, rng_seed, t)
         k_cycles = len(g.cycles) + n - sum(len(c) for c in g.cycles)
         system = reduce(g, v, w)
-        assert system is not None and len(system) == len(g.cycles)
+        if system is None or len(system) != len(g.cycles):
+            raise RuntimeError(f"trial {t}: the reduction lost an in-orbit instance")
         counter = CostCounter()
         solutions = solve_system(system, counter)
-        assert not solutions.is_empty and r in solutions
+        if solutions.is_empty or r not in solutions:
+            raise RuntimeError(f"trial {t}: solutions {solutions} miss the planted r={r}")
         rows.append((t, k_cycles, counter.word_ops, counter.max_bits))
     ks = [k for _, k, _, _ in rows]
     ops = [o for _, _, o, _ in rows]

@@ -99,11 +99,13 @@ def _measure_instance(g, v, w, label, r_star, repeats):
         times.append(time.perf_counter() - t0)
     counter = CostCounter()
     system = reduce(g, v, w, counter)
-    assert system is not None
+    if system is None:
+        raise RuntimeError(f"{label}: an in-orbit instance reduced to NO")
     solutions = solve_system(system, counter)
-    assert not solutions.is_empty
-    assert r_star in solutions
-    assert apply_power(g, solutions.offset, v) == w
+    if solutions.is_empty or r_star not in solutions:
+        raise RuntimeError(f"{label}: solutions {solutions} miss the planted r={r_star}")
+    if apply_power(g, solutions.offset, v) != w:
+        raise RuntimeError(f"{label}: witness r={solutions.offset} does not carry v to w")
     return ScalingRow(
         label=label,
         degree=g.n,

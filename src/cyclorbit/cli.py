@@ -75,7 +75,8 @@ def parse_instance_text(text: str) -> Instance:
     alphabet = fields["alphabet"]
     if not alphabet:
         raise InstanceError(f"line {lines['alphabet']}: alphabet is empty")
-    if len(set(alphabet)) != len(alphabet):
+    symbols = set(alphabet)
+    if len(symbols) != len(alphabet):
         raise InstanceError(f"line {lines['alphabet']}: repeated alphabet symbol")
     try:
         g = parse_permutation(fields["perm"], n)
@@ -87,12 +88,12 @@ def parse_instance_text(text: str) -> Instance:
             raise InstanceError(
                 f"line {lines[key]}: {key} has length {len(value)}, expected {clip(str(n))}"
             )
-        for pos, ch in enumerate(value):
-            if ch not in alphabet:
-                raise InstanceError(
-                    f"line {lines[key]}: {key} has symbol {ch!r} outside the "
-                    f"alphabet (at position {pos})"
-                )
+        if not set(value) <= symbols:
+            pos, ch = next((pos, ch) for pos, ch in enumerate(value) if ch not in symbols)
+            raise InstanceError(
+                f"line {lines[key]}: {key} has symbol {ch!r} outside the "
+                f"alphabet (at position {pos})"
+            )
     return Instance(n, alphabet, g, fields["v"], fields["w"])
 
 

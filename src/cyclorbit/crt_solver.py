@@ -1,12 +1,13 @@
 """Solvability of congruence systems by prime-power splitting.
 
 Factor every modulus, split each congruence into prime-power atoms
-x = z (mod p^e), then scan the atoms keeping, per prime, only the strongest
-constraint seen so far together with its reductions at every lower level.
-A new atom is checked against that table in time polynomial in its own
-size, never in the size of what is already stored, which is what keeps the
-whole check linear for unary-sized inputs.  This route only decides
-solvability; it does not produce the solution progression.
+x = z (mod p^e), then scan the atoms with one table per prime: the
+strongest residue seen for p, reduced at every level 1..e.  An atom no
+stronger than the table is answered by one lookup, in time polynomial in
+its own size, never in the size of what is already stored, which is what
+keeps the whole check linear for unary-sized inputs.  Every step is
+charged to a CrtStats, a fresh one when the caller passes none.  This route
+only decides solvability; it does not produce the solution progression.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class CrtStats:
 
 def factorize(b: int, stats: CrtStats | None = None) -> list[tuple[int, int]]:
     """Trial-division factorization: ascending (prime, exponent) pairs, product b."""
+    if stats is None:
+        stats = CrtStats()
     if b < 1:
         raise ValueError(f"can only factor positive integers, got {b}")
     out = []
@@ -69,12 +72,11 @@ def factorize(b: int, stats: CrtStats | None = None) -> list[tuple[int, int]]:
         if x % d == 0:
             e = 0
             while x % d == 0:
-                if stats is not None:
-                    stats.charge_mod(x, d)
+                stats.charge_mod(x, d)
                 x //= d
                 e += 1
             out.append((d, e))
-        elif stats is not None:
+        else:
             stats.charge_mod(x, d)
         d += 1 if d == 2 else 2
     if x > 1:
@@ -90,6 +92,8 @@ def split_equation(
     b = 1 contributes nothing.  The conjunction of the atoms is equivalent
     to the original congruence because the prime-power moduli are coprime.
     """
+    if stats is None:
+        stats = CrtStats()
     if b < 1:
         raise ValueError(f"modulus must be >= 1, got {b}")
     if not 0 <= a < b:
@@ -97,20 +101,18 @@ def split_equation(
     atoms = []
     for p, e in factorize(b, stats):
         q = p**e
-        if stats is not None:
-            stats.charge_mod(a, q)
+        stats.charge_mod(a, q)
         atoms.append(PrimePowerEquation(p, e, a % q))
     return atoms
 
 
-def _refresh_levels(p: int, z: int, e: int, stats: CrtStats | None) -> list[int]:
+def _refresh_levels(p: int, z: int, e: int, stats: CrtStats) -> list[int]:
     """[z mod p^1, ..., z mod p^e], cheapest first by reducing stepwise."""
     levels = [0] * e
     levels[e - 1] = z
     for level in range(e - 1, 0, -1):
         q = p**level
-        if stats is not None:
-            stats.charge_mod(levels[level], q)
+        stats.charge_mod(levels[level], q)
         levels[level - 1] = levels[level] % q
     return levels
 
@@ -120,61 +122,38 @@ def decide_solvable(
 ) -> bool:
     """True iff the system has a solution, by scanning prime-power atoms.
 
-    Per prime p the tables hold the strongest atom seen (residue and
-    exponent) plus that residue reduced at every level below it.  Each new
-    atom with the same prime either matches the stored level exactly, or
-    strengthens the constraint (then the stored residue must agree with the
-    new one at the old level), or is weaker (then the stored reductions
-    answer in one lookup).  Any disagreement refutes the system outright.
+    levels[p] is the strongest residue seen for p, reduced at every level
+    1..e, so the held atom is z = levels[p][-1] mod p^e with e =
+    len(levels[p]).  A new atom z' mod p^e' with e' <= e is answered by the
+    one lookup levels[p][e' - 1] == z'.  A stronger one must agree with z
+    at level e, then its own reductions replace the table.  The first
+    disagreement refutes the system, before later equations are factored.
     """
-    strongest: dict[int, tuple[int, int]] = {}
+    if stats is None:
+        stats = CrtStats()
     levels: dict[int, list[int]] = {}
     for a, b in system:
         for atom in split_equation(a, b, stats):
             p, e_new, z_new = atom.prime, atom.exponent, atom.residue
-            spent_before = stats.bit_ops if stats is not None else 0
-            if stats is not None:
-                if p > stats.p_max:
-                    stats.p_max = p
-                if e_new > stats.e_max:
-                    stats.e_max = e_new
-            held = strongest.get(p)
+            spent_before = stats.bit_ops
+            stats.p_max = max(stats.p_max, p)
+            stats.e_max = max(stats.e_max, e_new)
+            held = levels.get(p)
             if held is None:
-                strongest[p] = (z_new, e_new)
                 levels[p] = _refresh_levels(p, z_new, e_new, stats)
             else:
-                z, e = held
-                if stats is not None:
-                    stats.charge_compare(e, e_new)
-                if e_new == e:
-                    if stats is not None:
-                        stats.charge_compare(z, z_new)
-                    if z_new != z:
+                e = len(held)
+                stats.charge_compare(e, e_new)
+                if e_new <= e:
+                    stats.charge_compare(held[e_new - 1], z_new)
+                    if held[e_new - 1] != z_new:
                         return False
-                elif e_new > e:
-                    # incoming is stronger: must agree with the held residue
-                    # at the held level, then replaces it
-                    q = p**e
-                    if stats is not None:
-                        stats.charge_mod(z_new, q)
-                        stats.charge_compare(z, z_new % q)
-                    if z_new % q != z:
-                        return False
-                    strongest[p] = (z_new, e_new)
-                    levels[p] = _refresh_levels(p, z_new, e_new, stats)
                 else:
-                    # incoming is weaker: one table lookup, no reduction of
-                    # the (possibly huge) held residue
-                    if stats is not None:
-                        stats.charge_compare(levels[p][e_new - 1], z_new)
-                    if levels[p][e_new - 1] != z_new:
+                    q = p**e
+                    stats.charge_mod(z_new, q)
+                    stats.charge_compare(held[-1], z_new % q)
+                    if z_new % q != held[-1]:
                         return False
-            if __debug__:
-                z, e = strongest[p]
-                assert len(levels[p]) == e and levels[p][e - 1] == z
-                assert all(
-                    levels[p][i - 1] == z % p**i for i in range(1, e + 1)
-                )
-            if stats is not None:
-                stats.per_atom.append((atom, stats.bit_ops - spent_before))
+                    levels[p] = _refresh_levels(p, z_new, e_new, stats)
+            stats.per_atom.append((atom, stats.bit_ops - spent_before))
     return True

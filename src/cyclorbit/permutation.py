@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 
-from .congruence import parse_int
+from .congruence import clip, parse_int
 
 Configuration = str
 
@@ -132,9 +132,13 @@ def cycles_of_mapping(mapping):
     """Cycles of length >= 2 of a 0-based permutation table.
 
     Each cycle starts at its smallest element and the cycles are ordered by
-    that element; fixed points are omitted.
+    that element; fixed points are omitted.  Raises ValueError if mapping
+    is not a permutation of range(len(mapping)).
     """
     n = len(mapping)
+    # n entries that cover range(n) leave no room for a repeat or a stray
+    if not set(mapping).issuperset(range(n)):
+        raise ValueError("mapping is not a permutation of its indices")
     seen = bytearray(n)
     out = []
     for start in range(n):
@@ -234,9 +238,11 @@ def parse_permutation(text: str, n: int) -> Permutation:
             except ValueError as exc:
                 raise CycleNotationError(str(exc), m.start()) from None
             if not 1 <= val <= n:
-                raise CycleNotationError(f"index {val} outside [1, {n}]", m.start())
+                raise CycleNotationError(
+                    f"index {clip(str(val))} outside [1, {clip(str(n))}]", m.start()
+                )
             if val in seen:
-                raise CycleNotationError(f"index {val} already used", m.start())
+                raise CycleNotationError(f"index {clip(str(val))} already used", m.start())
             seen.add(val)
             elems.append(val)
             want_index = False

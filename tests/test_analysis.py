@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclorbit import (
+    EMPTY,
     StirlingTable,
     asymptotic_ratio_report,
     cycle_count_moments,
@@ -12,6 +13,12 @@ from cyclorbit import (
     measure_average_cost,
     verify_moment_identities,
 )
+
+
+def test_average_cost_check_raises(monkeypatch):
+    monkeypatch.setattr("cyclorbit.analysis.solve_system", lambda *args: EMPTY)
+    with pytest.raises(RuntimeError, match="planted"):
+        measure_average_cost(5, 2, 0)
 
 
 def test_stirling_small_values():

@@ -1,6 +1,7 @@
 import pytest
 
 from cyclorbit import (
+    EMPTY,
     Permutation,
     instance_size_bits,
     ratio_band,
@@ -14,6 +15,12 @@ def test_instance_size_bits():
     # indices 1 and 2 cost 1 + 2 bits, both configurations cost 1 bit/symbol
     assert instance_size_bits(g, "01", "10") == 3 + 4
     assert instance_size_bits(g, "01", "10", alphabet_size=4) == 3 + 8
+
+
+def test_scaling_row_check_raises(monkeypatch):
+    monkeypatch.setattr("cyclorbit.bench.solve_system", lambda *args: EMPTY)
+    with pytest.raises(RuntimeError, match="planted"):
+        run_primorial_scaling(2)
 
 
 def test_primorial_scaling_rows():

@@ -106,6 +106,15 @@ def test_solve_oversized_index(tmp_path, capsys):
     assert len(err) < 200
 
 
+def test_solve_index_outside_clipped(tmp_path, capsys):
+    # 4300 digits is inside the int limit, so only the range check sees it
+    path = write(tmp_path, "inst.txt", f"n 1\nalphabet 01\nperm (1,{'9' * 4300})\nv 0\nw 0\n")
+    assert main(["solve", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "outside" in err and "4300 characters" in err
+    assert len(err) < 200
+
+
 def test_not_utf8_file(tmp_path, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes("n 2\nalphabet \xe9\n".encode("latin-1"))

@@ -12,6 +12,7 @@ from cyclorbit import (
     solve_system,
     split_equation,
 )
+from cyclorbit import crt_solver
 
 from test_congruence import small_systems
 
@@ -127,3 +128,36 @@ def test_strengthening_updates_tables():
     assert decide_solvable(CongruenceSystem(((3, 4), (11, 16), (3, 4))))
     assert not decide_solvable(CongruenceSystem(((3, 4), (11, 16), (1, 4))))
     assert not decide_solvable(CongruenceSystem(((1, 4), (11, 16))))
+
+
+smooth_moduli = st.builds(lambda i, j: 2**i * 3**j, st.integers(0, 10), st.integers(0, 10))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 6**10 - 1),
+    st.lists(
+        st.tuples(smooth_moduli, st.none() | st.integers(0, 6**10 - 1)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_decide_solvable_matches_solver_smooth_moduli(x, picks):
+    # residues mostly follow one hidden x, so strengthen-then-weaken chains
+    # on 2 and 3 run long before a stray residue (if any) ends them
+    sys_ = CongruenceSystem(tuple(((x if y is None else y) % b, b) for b, y in picks))
+    assert decide_solvable(sys_) == (not solve_system(sys_).is_empty)
+
+
+def test_refutation_stops_before_later_moduli(monkeypatch):
+    # 1 mod 2 against 0 mod 2 refutes the system before the 61-bit prime,
+    # which trial division would spend minutes on, is factored
+    factorize = crt_solver.factorize
+
+    def small_only(b, stats=None):
+        if b > 2**40:
+            pytest.fail(f"factorize called on {b}")
+        return factorize(b, stats)
+
+    monkeypatch.setattr(crt_solver, "factorize", small_only)
+    assert not decide_solvable(CongruenceSystem(((1, 2), (0, 2), (0, 2**61 - 1))))

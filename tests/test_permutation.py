@@ -90,6 +90,13 @@ def test_cycles_of_mapping_contract():
     assert cycles_of_mapping([1, 2, 0]) == [[0, 1, 2]]
 
 
+def test_from_mapping_rejects_non_permutation():
+    # [1, 1] used to walk 0 -> 1 -> 1 -> ... forever
+    for mapping in ([1, 1], [0, 2]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation.from_mapping(mapping)
+
+
 @given(permutations_st)
 def test_from_mapping_roundtrip(g):
     h = Permutation.from_mapping(g.mapping())
