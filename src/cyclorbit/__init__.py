@@ -63,7 +63,7 @@ from .oracle import (
     brute_force_orbit,
 )
 from .orbit import NOT_IN_ORBIT, OrbitAnswer, decide_orbit, reduce
-from .strmatch import MatchResult, kmp_find_all, rotate_right, rotation_exponents
+from .strmatch import rotate_right, rotation_exponents
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "CrtStats",
     "Cycle",
     "CycleNotationError",
-    "MatchResult",
     "OrbitAnswer",
     "OrderBoundExceeded",
     "Permutation",
@@ -103,7 +102,6 @@ __all__ = [
     "format_permutation",
     "harmonic_values",
     "instance_size_bits",
-    "kmp_find_all",
     "measure_average_cost",
     "naive_intersection",
     "order",

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .congruence import (
     ArithmeticProgression,
     CongruenceSystem,
     CostCounter,
+    clip,
     solve_system,
 )
 from .permutation import Configuration, Permutation, apply_power, project
@@ -68,12 +71,11 @@ def reduce(
         raise ValueError(
             f"configuration lengths {len(v)}, {len(w)} do not match degree {g.n}"
         )
-    moved = g.moved_mask()
+    fixed = ~np.frombuffer(g.moved_mask(), np.bool_)
     if counter is not None:
         counter.add_word_ops(g.n)
-    for j in range(g.n):
-        if not moved[j] and v[j] != w[j]:
-            return None
+    if (fixed & (_codes(v) != _codes(w))).any():
+        return None
     equations = []
     for c in g.cycles:
         k = len(c)
@@ -84,21 +86,22 @@ def reduce(
         exponents = rotation_exponents(vc, wc, counter)
         if not exponents:
             return None
-        if len(exponents) == 1:
-            a_i, b_i = exponents[0], k
-        else:
-            a_i = exponents[0]
-            b_i = exponents[1] - exponents[0]
-            if __debug__:
-                # the admissible rotations of one cycle are always evenly spaced
-                assert k % b_i == 0
-                assert all(
-                    e == a_i + t * b_i for t, e in enumerate(exponents)
-                ), exponents
+        a_i = exponents[0]
+        b_i = exponents[1] - a_i if len(exponents) > 1 else k
+        # the admissible rotations of one cycle are evenly spaced and the gap divides k
+        if b_i < 1 or k % b_i or exponents != tuple(range(a_i, k, b_i)):
+            raise RuntimeError(
+                f"rotations {clip(str(exponents))} of a {k}-cycle are not a progression"
+            )
         if counter is not None:
             counter.charge(a_i, b_i)
         equations.append((a_i, b_i))
     return CongruenceSystem(tuple(equations))
+
+
+def _codes(s: str):
+    """The code points of s as one uint32 array; lone surrogates included."""
+    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), np.uint32)
 
 
 def decide_orbit(

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
+
 from .congruence import clip, parse_int
 
 Configuration = str
@@ -210,6 +212,10 @@ def format_permutation(g: Permutation) -> str:
 
 _TOKEN = re.compile(r"\d+|\S")
 
+# an index of at most 18 decimal digits fits an int64
+_FAST_DIGITS = 18
+_OPEN, _CLOSE, _COMMA, _ZERO = b"(),0"
+
 
 def parse_permutation(text: str, n: int) -> Permutation:
     """Parse cycle notation like "(6,5,7,3,2,1)(4,8)" into a Permutation of [1, n].
@@ -218,7 +224,93 @@ def parse_permutation(text: str, n: int) -> Permutation:
     the identity.  Raises CycleNotationError carrying the character position
     of the first problem: bad syntax, an index outside [1, n] or past the
     interpreter's digit limit, or an index used twice.
+
+    Whitespace-free ASCII text is parsed in bulk; any text that the bulk
+    pass does not accept goes to the token scanner, which finds and reports
+    the problem, so both paths give the same result or the same error.
     """
+    bulk = _bulk_indices(text)
+    if bulk is None or not _distinct_in_range(bulk[0], n):
+        return _scan_permutation(text, n)
+    vals, ends = bulk[0], bulk[1].tolist()
+    return Permutation(n, (vals[i:j].tolist() for i, j in zip([0] + ends, ends)))
+
+
+def _bulk_indices(text: str):
+    """(indices, ends) of whitespace-free ASCII cycle notation, or None when
+    the text is not of that form or holds an index of more than 18 digits.
+
+    indices is every index in order as one int64 array; ends[c] is the
+    number of indices up to the end of cycle c.  One byte or bool per
+    character and one int64 per index, with no per-character array kept
+    past the shape check.
+    """
+    if not (text.isascii() and text[:1] == "(" and text[-1:] == ")"):
+        return None
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    runs = _index_runs(b)
+    if runs is None:
+        return None
+    starts, lengths, ends = runs
+    width = int(lengths.max())
+    if width > _FAST_DIGITS:
+        return None
+    vals = np.zeros(starts.size, np.int64)
+    for d in range(width):  # Horner's rule, one digit position at a time
+        live = lengths > d
+        digit = b.take(starts, mode="clip")
+        digit -= _ZERO
+        np.multiply(vals, 10, out=vals, where=live)
+        np.add(vals, digit, out=vals, where=live)
+        starts += 1
+    return vals, ends
+
+
+def _index_runs(b):
+    """(starts, lengths, ends) of the indices in the bytes b of cycle
+    notation that starts with ( and ends with ), or None if b is not of
+    the shape of cycles "(" i ("," i)* ")" one after another.
+
+    That shape is fixed by which character may follow which, so local
+    successor rules check it exactly.
+    """
+    isdig = b - np.uint8(_ZERO) < 10  # wraps below '0', so only 0-9 pass
+    sep = b == _OPEN
+    sep |= b == _COMMA  # ( and , are followed by an index
+    known = b == _CLOSE
+    known |= isdig
+    known |= sep
+    if not known.all():
+        return None
+    if (
+        (sep[:-1] > isdig[1:]).any()  # ( or , not followed by a digit
+        or ((b[:-1] == _CLOSE) > (b[1:] == _OPEN)).any()  # ) not followed by (
+        or (isdig[:-1] & (b[1:] == _OPEN)).any()  # an index followed by (
+    ):
+        return None
+    starts = np.flatnonzero(sep)
+    starts += 1
+    term = b == _CLOSE  # each index ends at , or )
+    term |= b == _COMMA
+    lengths = np.flatnonzero(term)
+    lengths -= starts
+    return starts, lengths, np.searchsorted(starts, np.flatnonzero(b == _CLOSE))
+
+
+def _distinct_in_range(vals, n: int) -> bool:
+    """Every value in [1, n] and none repeated."""
+    if vals.min() < 1 or int(vals.max()) > n:
+        return False
+    if n <= 8 * vals.size:  # a byte per value in [1, n] is no more than the indices take
+        seen = np.zeros(n + 1, np.bool_)
+        seen[vals] = True
+        return np.count_nonzero(seen) == vals.size
+    s = np.sort(vals)
+    return not (s[1:] == s[:-1]).any()
+
+
+def _scan_permutation(text: str, n: int) -> Permutation:
+    """parse_permutation by one step per token, reporting the first problem."""
     cycles = []
     seen = set()
     elems = None  # indices of the open cycle; None between cycles

@@ -1,16 +1,5 @@
 """Linear-time string matching and rotation-exponent sets for cycle projections."""
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """1-based positions of every (possibly overlapping) occurrence, ascending,
-    plus the exact number of symbol comparisons the search spent."""
-
-    positions: tuple[int, ...]
-    comparisons: int
-
 
 def kmp_search_count(text, pattern):
     """All 0-based occurrences of pattern in text, plus symbol comparisons spent.
@@ -54,14 +43,6 @@ def kmp_search_count(text, pattern):
             positions.append(i - m + 1)
             q = fail[q - 1]
     return positions, comparisons
-
-
-def kmp_find_all(text: str, pattern: str) -> MatchResult:
-    """Knuth-Morris-Pratt search for all occurrences of pattern in text."""
-    if not pattern:
-        raise ValueError("empty pattern")
-    positions, comparisons = kmp_search_count(text, pattern)
-    return MatchResult(tuple(p + 1 for p in positions), comparisons)
 
 
 def rotate_right(s: str, r: int) -> str:

@@ -52,6 +52,13 @@ def test_reduce_fixed_point_mismatch():
     assert reduce(g, "001", "010") is None
 
 
+def test_reduce_fixed_point_mismatch_non_bmp():
+    # the fixed-point check compares code points: one non-BMP symbol is one position
+    g = Permutation(3, [(1, 2)])
+    assert reduce(g, "a\U0001F600a", "\U0001F600a\U0001F600") is None
+    assert reduce(g, "a\U0001F600a", "\U0001F600aa") == CongruenceSystem(((1, 2),))
+
+
 def test_reduce_unmatchable_cycle():
     g = Permutation(2, [(1, 2)])
     assert reduce(g, "00", "01") is None
@@ -86,6 +93,14 @@ def test_decide_identity_permutation():
     assert decide_orbit(g, "010", "011") is NOT_IN_ORBIT
 
 
+def run_optimized(code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
 def test_witness_check_survives_optimize():
     # under python -O an assert would vanish; the witness check must not
     code = (
@@ -97,11 +112,22 @@ def test_witness_check_survives_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit('decide_orbit returned with a wrong witness')\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+    out = run_optimized(code)
+    assert out.returncode == 0, out.stderr
+
+
+def test_progression_check_survives_optimize():
+    # (0, 1, 3) on a 4-cycle is no progression; under python -O reduce must still refuse it
+    code = (
+        "import cyclorbit.orbit as o\n"
+        "o.rotation_exponents = lambda vc, wc, counter=None: (0, 1, 3)\n"
+        "try:\n"
+        "    o.reduce(o.Permutation(4, [(1, 2, 3, 4)]), '0000', '0000')\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('reduce accepted uneven rotations')\n"
     )
+    out = run_optimized(code)
     assert out.returncode == 0, out.stderr
 
 

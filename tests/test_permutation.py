@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -17,6 +18,7 @@ from cyclorbit import (
     primorial_permutation,
     project,
 )
+from cyclorbit import permutation
 from cyclorbit.permutation import cycles_of_mapping
 
 
@@ -142,6 +144,57 @@ def test_parse_fails_typed_or_roundtrips(text, n):
         assert 0 <= exc.position <= len(text)
     else:
         assert parse_permutation(format_permutation(g), n) == g
+
+
+def scan_outcome(parse, text, n):
+    try:
+        return parse(text, n)
+    except CycleNotationError as exc:
+        return str(exc), exc.position
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="(),0123456789 x٣²", max_size=30),
+        permutations_st.map(format_permutation),
+    ),
+    st.one_of(st.integers(1, 40), st.just(10**30)),
+)
+def test_parse_agrees_with_scanner(text, n):
+    # the bulk pass either gives the scanner's permutation or leaves the text to it
+    assert scan_outcome(parse_permutation, text, n) == scan_outcome(
+        permutation._scan_permutation, text, n
+    )
+
+
+def test_parse_bulk_roundtrip(monkeypatch):
+    mapping = list(range(10**5))
+    random.Random(5).shuffle(mapping)
+    g = Permutation.from_mapping(mapping)
+
+    def refuse(text, n):
+        raise AssertionError("the scanner was called")
+
+    monkeypatch.setattr(permutation, "_scan_permutation", refuse)
+    assert parse_permutation(format_permutation(g), g.n) == g
+
+
+def test_parse_errors_left_to_scanner():
+    big = "1" * 19
+    for text, n, pos, message in [
+        ("(1, 2)", 1, 4, "index 2 outside [1, 1]"),
+        ("(0,1)", 8, 1, "index 0 outside [1, 8]"),
+        ("(1,1)", 8, 3, "index 1 already used"),
+        ("(1,2)(2,3)", 8, 6, "index 2 already used"),
+        ("(1,٣)", 2, 3, "index 3 outside [1, 2]"),
+        (f"({big},{big})", 10**30, 21, f"index {big} already used"),
+    ]:
+        with pytest.raises(CycleNotationError) as exc:
+            parse_permutation(text, n)
+        assert exc.value.position == pos, text
+        assert str(exc.value) == f"{message} (at position {pos})", text
+    # the bulk pass reads at most 18 digits; the scanner reads the rest
+    assert parse_permutation(f"(1,{big})", 10**30) == Permutation(10**30, [(1, int(big))])
 
 
 def test_parse_allows_whitespace():
