@@ -90,6 +90,12 @@ def _random_orbit_instance(n: int, rng_seed: int, key: int):
     return g, v, r, apply_power(g, r, v)
 
 
+def _mark_cycle_starts(g: Permutation) -> str:
+    """A 1 at the first index of each cycle of g, 0 elsewhere."""
+    starts = {c.elements[0] for c in g.cycles}
+    return "".join("1" if j in starts else "0" for j in range(1, g.n + 1))
+
+
 def _measure_instance(g, v, w, label, r_star, repeats):
     times = []
     for _ in range(repeats):
@@ -137,10 +143,7 @@ def run_primorial_scaling(
     rows = []
     for i in range(1, i_max + 1):
         g = primorial_permutation(i)
-        marks = bytearray(b"0" * g.n)
-        for c in g.cycles:
-            marks[c.elements[0] - 1] = ord("1")
-        v = marks.decode("ascii")
+        v = _mark_cycle_starts(g)
         r_star = rng.randrange(order(g))
         w = apply_power(g, r_star, v)
         rows.append(_measure_instance(g, v, w, f"i={i}", r_star, repeats))

@@ -58,7 +58,7 @@ def parse_instance_text(text: str) -> Instance:
             continue
         key, _, value = line.partition(" ")
         if key not in ("n", "alphabet", "perm", "v", "w"):
-            raise InstanceError(f"line {lineno}: unknown key {key!r}")
+            raise InstanceError(f"line {lineno}: unknown key {clip(repr(key))}")
         if key in fields:
             raise InstanceError(f"line {lineno}: duplicate key {key!r}")
         fields[key] = value.strip()

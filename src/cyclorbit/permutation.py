@@ -6,6 +6,9 @@ of g(x) holds the symbol x had at position j.  Restricted to one cycle
 (written in successor order) a single application is exactly a cyclic right
 shift of the projected string, which is what the whole reduction to
 congruences rests on.
+
+A permutation's indices are checked once, by one pass over all its cycles
+when it is built; parse_permutation's token scanner keeps its own checks.
 """
 
 from __future__ import annotations
@@ -38,14 +41,7 @@ class Cycle:
     __slots__ = ("elements",)
 
     def __init__(self, elements):
-        elems = tuple(map(int, elements))
-        if not elems:
-            raise ValueError("a cycle needs at least one element")
-        if min(elems) < 1:
-            raise ValueError(f"cycle indices must be >= 1, got {elems}")
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"duplicate index inside cycle {elems}")
-        self.elements = elems
+        (self.elements,) = _checked_cycles((elements,))
 
     def __len__(self):
         return len(self.elements)
@@ -77,20 +73,11 @@ class Permutation:
     def __init__(self, n: int, cycles=()):
         if n < 1:
             raise ValueError(f"degree must be >= 1, got {n}")
-        seen = set()
         kept = []
-        for c in cycles:
-            if not isinstance(c, Cycle):
-                c = Cycle(c)
-            elems = c.elements
-            if max(elems) > n or not seen.isdisjoint(elems):
-                # no repeats inside a cycle: only [1, n] or an earlier cycle can clash
-                bad = next(e for e in elems if e > n or e in seen)
-                if bad > n:
-                    raise ValueError(f"index {bad} outside [1, {n}]")
-                raise ValueError(f"index {bad} appears in more than one cycle")
-            seen.update(elems)
+        for elems in _checked_cycles(cycles, n):
             if len(elems) >= 2:
+                c = object.__new__(Cycle)  # checked above; Cycle(elems) would check again
+                c.elements = elems
                 kept.append(c)
         self.n = n
         self.cycles = tuple(kept)
@@ -128,6 +115,31 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({self.n}, {format_permutation(self)!r})"
+
+
+def _checked_cycles(cycles, n=math.inf) -> list[tuple[int, ...]]:
+    """Each cycle as a tuple of ints, after one pass over all cycles that
+    checks each index once: no cycle empty, every index in [1, n], none used
+    twice.  The ValueError names the first bad index in cycle order."""
+    out = []
+    seen = set()
+    for c in cycles:
+        elems = tuple(map(int, c))
+        if not elems:
+            raise ValueError("a cycle needs at least one element")
+        out.append(elems)
+        before = len(seen)
+        seen.update(elems)
+        # with no index used twice, seen grows by exactly the cycle's length
+        if min(elems) < 1 or max(elems) > n or len(seen) - before != len(elems):
+            used = set()  # walk again, only to name the first bad index
+            for e in (e for cycle in out for e in cycle):
+                if not 1 <= e <= n:
+                    raise ValueError(f"index {clip(str(e))} outside [1, {clip(str(n))}]")
+                if e in used:
+                    raise ValueError(f"index {clip(str(e))} already used")
+                used.add(e)
+    return out
 
 
 def cycles_of_mapping(mapping):
@@ -225,36 +237,33 @@ def parse_permutation(text: str, n: int) -> Permutation:
     of the first problem: bad syntax, an index outside [1, n] or past the
     interpreter's digit limit, or an index used twice.
 
-    Whitespace-free ASCII text is parsed in bulk; any text that the bulk
-    pass does not accept goes to the token scanner, which finds and reports
-    the problem, so both paths give the same result or the same error.
+    Whitespace-free ASCII text is read in bulk and its indices are checked
+    only by Permutation.  Text the bulk pass cannot read, or that Permutation
+    rejects, goes to the token scanner, which finds and reports the problem,
+    so both paths give the same result or the same error.
     """
-    bulk = _bulk_indices(text)
-    if bulk is None or not _distinct_in_range(bulk[0], n):
+    try:
+        return Permutation(n, _bulk_cycles(text))
+    except ValueError:  # not read in bulk, or an index outside [1, n] or used twice
         return _scan_permutation(text, n)
-    vals, ends = bulk[0], bulk[1].tolist()
-    return Permutation(n, (vals[i:j].tolist() for i, j in zip([0] + ends, ends)))
 
 
-def _bulk_indices(text: str):
-    """(indices, ends) of whitespace-free ASCII cycle notation, or None when
-    the text is not of that form or holds an index of more than 18 digits.
+def _bulk_cycles(text: str):
+    """The cycles of whitespace-free ASCII cycle notation, one list of
+    indices each, unchecked; ValueError when the text is not of that form or
+    holds an index of more than 18 digits.
 
-    indices is every index in order as one int64 array; ends[c] is the
-    number of indices up to the end of cycle c.  One byte or bool per
-    character and one int64 per index, with no per-character array kept
-    past the shape check.
+    All indices are read at once into one int64 array, and each cycle's list
+    is made only when it is reached.  One byte or bool per character and one
+    int64 per index, with no per-character array kept past the shape check.
     """
     if not (text.isascii() and text[:1] == "(" and text[-1:] == ")"):
-        return None
+        raise ValueError("not whitespace-free ASCII cycle notation")
     b = np.frombuffer(text.encode("ascii"), np.uint8)
-    runs = _index_runs(b)
-    if runs is None:
-        return None
-    starts, lengths, ends = runs
+    starts, lengths, ends = _index_runs(b)
     width = int(lengths.max())
     if width > _FAST_DIGITS:
-        return None
+        raise ValueError(f"an index has more than {_FAST_DIGITS} digits")
     vals = np.zeros(starts.size, np.int64)
     for d in range(width):  # Horner's rule, one digit position at a time
         live = lengths > d
@@ -263,12 +272,13 @@ def _bulk_indices(text: str):
         np.multiply(vals, 10, out=vals, where=live)
         np.add(vals, digit, out=vals, where=live)
         starts += 1
-    return vals, ends
+    ends = ends.tolist()
+    return (vals[i:j].tolist() for i, j in zip([0] + ends, ends))
 
 
 def _index_runs(b):
     """(starts, lengths, ends) of the indices in the bytes b of cycle
-    notation that starts with ( and ends with ), or None if b is not of
+    notation that starts with ( and ends with ); ValueError if b is not of
     the shape of cycles "(" i ("," i)* ")" one after another.
 
     That shape is fixed by which character may follow which, so local
@@ -280,14 +290,13 @@ def _index_runs(b):
     known = b == _CLOSE
     known |= isdig
     known |= sep
-    if not known.all():
-        return None
     if (
-        (sep[:-1] > isdig[1:]).any()  # ( or , not followed by a digit
+        not known.all()
+        or (sep[:-1] > isdig[1:]).any()  # ( or , not followed by a digit
         or ((b[:-1] == _CLOSE) > (b[1:] == _OPEN)).any()  # ) not followed by (
         or (isdig[:-1] & (b[1:] == _OPEN)).any()  # an index followed by (
     ):
-        return None
+        raise ValueError("not of the shape of cycle notation")
     starts = np.flatnonzero(sep)
     starts += 1
     term = b == _CLOSE  # each index ends at , or )
@@ -295,18 +304,6 @@ def _index_runs(b):
     lengths = np.flatnonzero(term)
     lengths -= starts
     return starts, lengths, np.searchsorted(starts, np.flatnonzero(b == _CLOSE))
-
-
-def _distinct_in_range(vals, n: int) -> bool:
-    """Every value in [1, n] and none repeated."""
-    if vals.min() < 1 or int(vals.max()) > n:
-        return False
-    if n <= 8 * vals.size:  # a byte per value in [1, n] is no more than the indices take
-        seen = np.zeros(n + 1, np.bool_)
-        seen[vals] = True
-        return np.count_nonzero(seen) == vals.size
-    s = np.sort(vals)
-    return not (s[1:] == s[:-1]).any()
 
 
 def _scan_permutation(text: str, n: int) -> Permutation:
@@ -341,7 +338,7 @@ def _scan_permutation(text: str, n: int) -> Permutation:
         elif tok == ",":
             want_index = True
         elif tok == ")":
-            cycles.append(Cycle(elems))
+            cycles.append(elems)
             elems = None
         else:
             raise CycleNotationError("expected ',' or ')'", m.start())
@@ -375,6 +372,6 @@ def primorial_permutation(i: int) -> Permutation:
     cycles = []
     lo = 1
     for p in first_primes(i):
-        cycles.append(Cycle(range(lo, lo + p)))
+        cycles.append(range(lo, lo + p))
         lo += p
     return Permutation(lo - 1, cycles)

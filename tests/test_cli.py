@@ -115,6 +115,14 @@ def test_solve_index_outside_clipped(tmp_path, capsys):
     assert len(err) < 200
 
 
+def test_solve_unknown_key_clipped(tmp_path, capsys):
+    path = write(tmp_path, "inst.txt", "k" * 100_000 + "\n")
+    assert main(["solve", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "unknown key" in err and "100002 characters" in err
+    assert len(err) < 200
+
+
 def test_not_utf8_file(tmp_path, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes("n 2\nalphabet \xe9\n".encode("latin-1"))

@@ -20,6 +20,7 @@ from cyclorbit import (
     primorial_permutation,
     reduce,
 )
+from cyclorbit.bench import _mark_cycle_starts
 from cyclorbit.oracle import brute_force_orbit
 
 from test_permutation import binary_config, permutations_st
@@ -186,10 +187,7 @@ def test_counted_cost_grows_linearly():
     costs = {}
     for i in (4, 6, 8, 11, 14, 17):
         g = primorial_permutation(i)
-        marks = ["0"] * g.n
-        for c in g.cycles:
-            marks[c.elements[0] - 1] = "1"
-        v = "".join(marks)
+        v = _mark_cycle_starts(g)
         w = apply_power(g, 123456789 % order(g), v)
         counter = CostCounter()
         assert decide_orbit(g, v, w, counter).in_orbit

@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclorbit import (
     Cycle,
@@ -19,6 +19,7 @@ from cyclorbit import (
     project,
 )
 from cyclorbit import permutation
+from cyclorbit.congruence import clip
 from cyclorbit.permutation import cycles_of_mapping
 
 
@@ -61,10 +62,51 @@ def test_permutation_validation():
         Permutation(4, [(1, 2), (2, 3)])
 
 
+def test_constructor_errors_name_one_clipped_index():
+    big = 10**5
+    huge = 10**100
+    for make, message in [
+        (lambda: Cycle(range(0, big)), "index 0 outside [1, inf]"),
+        (lambda: Cycle([*range(1, big), 7]), "index 7 already used"),
+        (lambda: Permutation(big - 1, [range(1, big + 1)]), f"index {big} outside [1, {big - 1}]"),
+        (lambda: Permutation(big, [range(1, big), (5, big)]), "index 5 already used"),
+        # the first bad index in cycle order, whichever check it fails
+        (lambda: Permutation(3, [(2, 2, 9)]), "index 2 already used"),
+        (lambda: Permutation(3, [(1, 5, 1)]), "index 5 outside [1, 3]"),
+        (lambda: Permutation(3, [(1, 2), (), (0,)]), "a cycle needs at least one element"),
+        (lambda: Permutation(5, [(1, huge)]), f"index {clip(str(huge))} outside [1, 5]"),
+        (lambda: Permutation(huge, [(0,)]), f"index 0 outside [1, {clip(str(huge))}]"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.lists(st.integers(-1, n + 2), max_size=6), max_size=6)
+        )
+    )
+)
+def test_constructor_agrees_with_scanner(case):
+    # the scanner keeps its own checks, so it is an independent oracle
+    n, cycles = case
+    text = "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+    try:
+        expected = permutation._scan_permutation(text, n)
+    except CycleNotationError:
+        with pytest.raises(ValueError):
+            Permutation(n, cycles)
+    else:
+        assert Permutation(n, cycles) == expected
+
+
 def test_one_cycles_become_fixed_points():
     g = Permutation(5, [(3,), (1, 2)])
     assert g.cycles == (Cycle((1, 2)),)
-    assert g == Permutation(5, [(1, 2)])
+    assert g == Permutation(5, [(1, 2)]) == Permutation(5, [Cycle((1, 2))])
     assert parse_permutation("(3)(1,2)", 5) == g
 
 
