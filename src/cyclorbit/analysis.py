@@ -11,6 +11,7 @@ measure_average_cost samples the actual solver cost on random instances.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -216,15 +217,8 @@ def fit_polylog_exponent(series: list[tuple[int, float]]) -> float:
     """Least-squares slope of log(cost) against log(log n).
 
     For cost ~ C * (log n)^c over the sampled n the slope recovers c.
+    Fewer than two points, or all n equal, raise a ValueError.
     """
-    if len(series) < 2:
-        raise ValueError("need at least two points")
     xs = [math.log(math.log(n)) for n, _ in series]
     ys = [math.log(c) for _, c in series]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("degenerate sample: all n equal")
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / sxx
+    return statistics.linear_regression(xs, ys).slope

@@ -12,7 +12,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -43,36 +43,15 @@ class ScalingReport:
     rows: list[ScalingRow]
 
     def csv_rows(self):
-        yield (
-            "label",
-            "degree",
-            "input_size_bits",
-            "wall_time",
-            "word_ops",
-            "max_bits",
-            "order_bits",
-            "r_star",
-            "witness",
-            "period",
-        )
+        """ScalingRow's field names, then one tuple per row, floats to 6 digits."""
+        yield tuple(f.name for f in fields(ScalingRow))
         for r in self.rows:
-            yield (
-                r.label,
-                r.degree,
-                r.input_size_bits,
-                f"{r.wall_time:.6g}",
-                r.word_ops,
-                r.max_bits,
-                r.order_bits,
-                r.r_star,
-                r.witness,
-                r.period,
-            )
+            yield tuple(f"{x:.6g}" if isinstance(x, float) else x for x in astuple(r))
 
 
 def instance_size_bits(g: Permutation, v: str, w: str, alphabet_size: int = 2) -> int:
     """Encoded input size: index bits across all cycles plus both configurations."""
-    bits = sum(e.bit_length() for c in g.cycles for e in c.elements)
+    bits = sum(e.bit_length() for c in g.cycles for e in c)
     per_symbol = max(1, math.ceil(math.log2(alphabet_size))) if alphabet_size > 1 else 1
     return bits + per_symbol * (len(v) + len(w))
 
@@ -92,7 +71,7 @@ def _random_orbit_instance(n: int, rng_seed: int, key: int):
 
 def _mark_cycle_starts(g: Permutation) -> str:
     """A 1 at the first index of each cycle of g, 0 elsewhere."""
-    starts = {c.elements[0] for c in g.cycles}
+    starts = {c[0] for c in g.cycles}
     return "".join("1" if j in starts else "0" for j in range(1, g.n + 1))
 
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for YES / solvable / all checks passed, 1 for NO / empty /
-unsolvable, 2 for malformed input, 3 when the brute-force oracle refuses
-because the group order exceeds its bound.
+unsolvable, 2 for malformed or over-budget input, 3 when the brute-force
+oracle refuses because the group order exceeds its bound.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def parse_instance_text(text: str) -> Instance:
         value = fields[key]
         if len(value) != n:
             raise InstanceError(
-                f"line {lines[key]}: {key} has length {len(value)}, expected {clip(str(n))}"
+                f"line {lines[key]}: {key} has length {len(value)}, expected {clip(n)}"
             )
         if not set(value) <= symbols:
             pos, ch = next((pos, ch) for pos, ch in enumerate(value) if ch not in symbols)
@@ -122,10 +122,20 @@ def _write_csv(path: str, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
+def _print_answer(answer) -> None:
+    """Print answer; one too wide to print in decimal is an over-budget input."""
+    try:
+        text = str(answer)
+    except ValueError:  # past the int digit limit; the offset is below the period
+        digits = sys.get_int_max_str_digits()
+        raise ValueError(f"solution period has more than {digits} digits") from None
+    print(text)
+
+
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     answer = decide_orbit(inst.g, inst.v, inst.w)
-    print(answer)
+    _print_answer(answer)
     return EXIT_YES if answer.in_orbit else EXIT_NO
 
 
@@ -143,7 +153,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_congruence(args) -> int:
     system = CongruenceSystem.from_text(_read_text(args.system))
     solutions = solve_system(system)
-    print(solutions)
+    _print_answer(solutions)
     return EXIT_YES if not solutions.is_empty else EXIT_NO
 
 

@@ -33,7 +33,7 @@ class CostCounter:
     def charge(self, *operands: int):
         bits = 1
         for x in operands:
-            b = (x if x >= 0 else -x).bit_length()
+            b = x.bit_length()
             if b > bits:
                 bits = b
         self.word_ops += (bits + WORD_BITS - 1) // WORD_BITS
@@ -46,7 +46,7 @@ class CostCounter:
     def observe(self, *values: int):
         """Track operand width without charging an operation."""
         for x in values:
-            b = (x if x >= 0 else -x).bit_length()
+            b = x.bit_length()
             if b > self.max_bits:
                 self.max_bits = b
 
@@ -103,8 +103,13 @@ def progression(offset: int, period: int) -> ArithmeticProgression:
 _CLIP = 40
 
 
-def clip(text: str) -> str:
-    """text for an error message: anything past 40 characters is cut off and counted."""
+def clip(value) -> str:
+    """str(value) for an error message, cut off past 40 characters and counted;
+    an int past the digit limit is named by its bit length, so clip never raises."""
+    try:
+        text = str(value)
+    except ValueError:  # past the interpreter's int digit limit
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
     return text if len(text) <= _CLIP else f"{text[:_CLIP]}... ({len(text)} characters)"
 
 
@@ -226,12 +231,12 @@ def solve_linear_congruence(
     if b_red % d != 0:
         return EMPTY
     period = n // d
+    xq = x * (b_red // d)
     if counter is not None:
         counter.charge(n, d)
         counter.charge(x, b_red // d)
-        counter.charge(x * (b_red // d), period)
-    x0 = x * (b_red // d) % period
-    return ArithmeticProgression(x0, period)
+        counter.charge(xq, period)
+    return ArithmeticProgression(xq % period, period)
 
 
 def solve_system(

@@ -91,7 +91,7 @@ def reduce(
         # the admissible rotations of one cycle are evenly spaced and the gap divides k
         if b_i < 1 or k % b_i or exponents != tuple(range(a_i, k, b_i)):
             raise RuntimeError(
-                f"rotations {clip(str(exponents))} of a {k}-cycle are not a progression"
+                f"rotations {clip(exponents)} of a {k}-cycle are not a progression"
             )
         if counter is not None:
             counter.charge(a_i, b_i)

@@ -31,34 +31,25 @@ class CycleNotationError(ValueError):
         self.position = position
 
 
-class Cycle:
+class Cycle(tuple):
     """A k-cycle (j_1,...,j_k): j_1 -> j_2 -> ... -> j_k -> j_1, indices 1-based.
 
-    Element order is significant and preserved verbatim: projections and
-    rotation exponents are stated relative to it.
+    The tuple of its indices, checked when made, in an order preserved
+    verbatim: projections and rotation exponents are stated relative to it.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ()
 
-    def __init__(self, elements):
-        (self.elements,) = _checked_cycles((elements,))
+    def __new__(cls, elements):
+        return _checked_cycles((elements,))[0]
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cycle):
-            return NotImplemented
-        return self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
+    @property
+    def elements(self):
+        """The cycle itself: its indices in successor order."""
+        return self
 
     def __repr__(self):
-        return "(" + ",".join(str(e) for e in self.elements) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
 
 class Permutation:
@@ -73,14 +64,8 @@ class Permutation:
     def __init__(self, n: int, cycles=()):
         if n < 1:
             raise ValueError(f"degree must be >= 1, got {n}")
-        kept = []
-        for elems in _checked_cycles(cycles, n):
-            if len(elems) >= 2:
-                c = object.__new__(Cycle)  # checked above; Cycle(elems) would check again
-                c.elements = elems
-                kept.append(c)
         self.n = n
-        self.cycles = tuple(kept)
+        self.cycles = tuple(c for c in _checked_cycles(cycles, n) if len(c) >= 2)
 
     @classmethod
     def from_mapping(cls, mapping) -> Permutation:
@@ -90,8 +75,7 @@ class Permutation:
     def mapping(self):
         """0-based image table: mapping()[j] == g(j+1) - 1."""
         image = list(range(self.n))
-        for c in self.cycles:
-            e = c.elements
+        for e in self.cycles:
             k = len(e)
             for t in range(k):
                 image[e[t] - 1] = e[(t + 1) % k] - 1
@@ -101,7 +85,7 @@ class Permutation:
         """bytearray of length n, entry j-1 set iff some cycle contains j."""
         mask = bytearray(self.n)
         for c in self.cycles:
-            for e in c.elements:
+            for e in c:
                 mask[e - 1] = 1
         return mask
 
@@ -117,14 +101,14 @@ class Permutation:
         return f"Permutation({self.n}, {format_permutation(self)!r})"
 
 
-def _checked_cycles(cycles, n=math.inf) -> list[tuple[int, ...]]:
-    """Each cycle as a tuple of ints, after one pass over all cycles that
+def _checked_cycles(cycles, n=math.inf) -> list[Cycle]:
+    """Each cycle as a Cycle of ints, after one pass over all cycles that
     checks each index once: no cycle empty, every index in [1, n], none used
     twice.  The ValueError names the first bad index in cycle order."""
     out = []
     seen = set()
     for c in cycles:
-        elems = tuple(map(int, c))
+        elems = tuple.__new__(Cycle, map(int, c))  # the one place a Cycle is made
         if not elems:
             raise ValueError("a cycle needs at least one element")
         out.append(elems)
@@ -135,9 +119,9 @@ def _checked_cycles(cycles, n=math.inf) -> list[tuple[int, ...]]:
             used = set()  # walk again, only to name the first bad index
             for e in (e for cycle in out for e in cycle):
                 if not 1 <= e <= n:
-                    raise ValueError(f"index {clip(str(e))} outside [1, {clip(str(n))}]")
+                    raise ValueError(f"index {clip(e)} outside [1, {clip(n)}]")
                 if e in used:
-                    raise ValueError(f"index {clip(str(e))} already used")
+                    raise ValueError(f"index {clip(e)} already used")
                 used.add(e)
     return out
 
@@ -181,8 +165,7 @@ def apply(g: Permutation, v: Configuration) -> Configuration:
     if len(v) != g.n:
         raise ValueError(f"configuration length {len(v)} does not match degree {g.n}")
     out = list(v)
-    for c in g.cycles:
-        e = c.elements
+    for e in g.cycles:
         k = len(e)
         for t in range(k):
             out[e[(t + 1) % k] - 1] = v[e[t] - 1]
@@ -196,8 +179,7 @@ def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
     if len(v) != g.n:
         raise ValueError(f"configuration length {len(v)} does not match degree {g.n}")
     out = list(v)
-    for c in g.cycles:
-        e = c.elements
+    for e in g.cycles:
         k = len(e)
         s = r % k
         if s == 0:
@@ -212,7 +194,7 @@ def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
 def project(v: Configuration, c: Cycle) -> str:
     """v restricted to the cycle's indices, in the cycle's stored order."""
     try:
-        return "".join([v[j - 1] for j in c.elements])
+        return "".join([v[j - 1] for j in c])
     except IndexError:
         raise ValueError(f"cycle {c!r} reaches outside the configuration") from None
 
@@ -327,11 +309,9 @@ def _scan_permutation(text: str, n: int) -> Permutation:
             except ValueError as exc:
                 raise CycleNotationError(str(exc), m.start()) from None
             if not 1 <= val <= n:
-                raise CycleNotationError(
-                    f"index {clip(str(val))} outside [1, {clip(str(n))}]", m.start()
-                )
+                raise CycleNotationError(f"index {clip(val)} outside [1, {clip(n)}]", m.start())
             if val in seen:
-                raise CycleNotationError(f"index {clip(str(val))} already used", m.start())
+                raise CycleNotationError(f"index {clip(val)} already used", m.start())
             seen.add(val)
             elems.append(val)
             want_index = False

@@ -8,6 +8,7 @@ from cyclorbit import (
     run_primorial_scaling,
     run_random_scaling,
 )
+from cyclorbit.bench import ScalingReport, ScalingRow
 
 
 def test_instance_size_bits():
@@ -62,6 +63,11 @@ def test_ratio_band_window():
 def test_csv_rows_header():
     report = run_primorial_scaling(2, rng_seed=0, repeats=1)
     rows = list(report.csv_rows())
-    assert rows[0][0] == "label"
     assert len(rows) == 3
+    row = ScalingRow("i=1", 2, 7, 1.23456789e-4, 3, 2, 1, 1, 0, 2)
+    assert list(ScalingReport("primorial", 0, 1, [row]).csv_rows()) == [
+        ("label", "degree", "input_size_bits", "wall_time", "word_ops",
+         "max_bits", "order_bits", "r_star", "witness", "period"),
+        ("i=1", 2, 7, "0.000123457", 3, 2, 1, 1, 0, 2),
+    ]
 

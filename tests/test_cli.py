@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cyclorbit import OrbitAnswer, progression
 from cyclorbit.cli import (
     EXIT_BOUND,
     EXIT_INPUT,
@@ -154,6 +155,18 @@ def test_congruence_oversized_residue(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "5000 digits" in err
     assert len(err) < 200
+
+
+def test_answer_too_wide_to_print(tmp_path, capsys, monkeypatch):
+    # both moduli parse, but their product has 8,581 digits
+    path = write(tmp_path, "sys.txt", f"1 mod {10**4290 + 1}\n2 mod {10**4290 + 3}\n")
+    assert main(["congruence", path]) == EXIT_INPUT
+    # an orbit of that period needs n in the millions, so solve gets a stand-in answer
+    wide = OrbitAnswer(True, progression(1, 10**5000))
+    monkeypatch.setattr("cyclorbit.cli.decide_orbit", lambda *args: wide)
+    assert main(["solve", write(tmp_path, "inst.txt", EXAMPLE)]) == EXIT_INPUT
+    message = "error: solution period has more than 4300 digits"
+    assert capsys.readouterr().err.splitlines() == [message, message]
 
 
 def test_crt_check_command(tmp_path, capsys):

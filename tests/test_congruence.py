@@ -163,6 +163,13 @@ def test_cost_counter_word_charges():
     assert c.word_ops == 8
     c.observe(2**200)
     assert c.max_bits == 201 and c.word_ops == 8
+    # a negative operand charges as its absolute value
+    neg = CostCounter()
+    neg.charge(-1, -1)
+    neg.charge(-(2**70), 3)
+    neg.add_word_ops(5)
+    neg.observe(-(2**200))
+    assert (neg.word_ops, neg.max_bits) == (c.word_ops, c.max_bits)
 
 
 def test_solver_cost_scales_with_operand_width():

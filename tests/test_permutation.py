@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import sys
@@ -45,6 +46,8 @@ def binary_config(n):
 
 def test_cycle_validation():
     assert len(Cycle((4, 8, 9))) == 3
+    c = Cycle([4, 8, 9])
+    assert isinstance(c, tuple) and c == (4, 8, 9) and c.elements is c
     with pytest.raises(ValueError):
         Cycle(())
     with pytest.raises(ValueError):
@@ -74,12 +77,39 @@ def test_constructor_errors_name_one_clipped_index():
         (lambda: Permutation(3, [(2, 2, 9)]), "index 2 already used"),
         (lambda: Permutation(3, [(1, 5, 1)]), "index 5 outside [1, 3]"),
         (lambda: Permutation(3, [(1, 2), (), (0,)]), "a cycle needs at least one element"),
-        (lambda: Permutation(5, [(1, huge)]), f"index {clip(str(huge))} outside [1, 5]"),
-        (lambda: Permutation(huge, [(0,)]), f"index 0 outside [1, {clip(str(huge))}]"),
+        (lambda: Permutation(5, [(1, huge)]), f"index {clip(huge)} outside [1, 5]"),
+        (lambda: Permutation(huge, [(0,)]), f"index 0 outside [1, {clip(huge)}]"),
+        # past the int digit limit an index is named by its bit length
+        (lambda: Permutation(1, [(1, 10**5000)]), "index <16610-bit integer> outside [1, 1]"),
+        (lambda: Cycle((1, -(10**5000))), "index -<16610-bit integer> outside [1, inf]"),
+        (lambda: Permutation(10**5000, [(0,)]), "index 0 outside [1, <16610-bit integer>]"),
     ]:
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == message
+
+
+def test_huge_valid_permutation_cannot_be_printed():
+    # like repr(10**5000): building it works, printing it hits the digit limit
+    g = Permutation(10**5000, [(1, 10**4400)])
+    assert g.cycles == ((1, 10**4400),)
+    with pytest.raises(ValueError):
+        repr(g)
+
+
+def test_cycle_copy_is_checked_again(monkeypatch):
+    checked = []
+
+    def spy(cycles, n=math.inf):
+        cycles = list(cycles)
+        checked.extend(cycles)
+        return real(cycles, n)
+
+    real = permutation._checked_cycles
+    c = Cycle((1, 2))
+    monkeypatch.setattr(permutation, "_checked_cycles", spy)
+    d = copy.copy(c)
+    assert type(d) is Cycle and d == c and checked == [(1, 2)]
 
 
 @settings(max_examples=300)
