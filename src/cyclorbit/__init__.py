@@ -52,10 +52,9 @@ from .bench import (
 )
 from .crt_solver import (
     CrtStats,
-    PrimePowerEquation,
+    PowerEquation,
     decide_solvable,
     factorize,
-    split_equation,
 )
 from .oracle import (
     OrderBoundExceeded,
@@ -84,7 +83,7 @@ __all__ = [
     "OrbitAnswer",
     "OrderBoundExceeded",
     "Permutation",
-    "PrimePowerEquation",
+    "PowerEquation",
     "StirlingTable",
     "SystemFormatError",
     "apply",
@@ -117,7 +116,6 @@ __all__ = [
     "run_random_scaling",
     "solve_linear_congruence",
     "solve_system",
-    "split_equation",
     "verify_moment_identities",
     "__version__",
 ]

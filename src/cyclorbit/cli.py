@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help="system file, one 'a mod b' per line")
     p.set_defaults(func=_cmd_congruence)
 
-    p = sub.add_parser("crt-check", help="decide solvability by prime-power splitting")
+    p = sub.add_parser("crt-check", help="decide solvability by splitting over a coprime base")
     p.add_argument("system")
     p.add_argument("--verbose", action="store_true", help="per-atom bit-op costs")
     p.set_defaults(func=_cmd_crt_check)

@@ -69,10 +69,10 @@ class ArithmeticProgression:
             raise ValueError("offset and period must be both set or both None")
         if self.period is not None:
             if self.period < 1:
-                raise ValueError(f"period must be >= 1, got {self.period}")
+                raise ValueError(f"period must be >= 1, got {clip(self.period)}")
             if not 0 <= self.offset < self.period:
                 raise ValueError(
-                    f"offset {self.offset} not in [0, {self.period})"
+                    f"offset {clip(self.offset)} not in [0, {clip(self.period)})"
                 )
 
     @property
@@ -96,7 +96,7 @@ EMPTY = ArithmeticProgression(None, None)
 def progression(offset: int, period: int) -> ArithmeticProgression:
     """The progression offset + period * Z with the offset reduced into [0, period)."""
     if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+        raise ValueError(f"period must be >= 1, got {clip(period)}")
     return ArithmeticProgression(offset % period, period)
 
 
@@ -149,9 +149,9 @@ class CongruenceSystem:
     def __post_init__(self):
         for a, b in self.equations:
             if b < 1:
-                raise ValueError(f"modulus must be >= 1, got {b}")
+                raise ValueError(f"modulus must be >= 1, got {clip(b)}")
             if not 0 <= a < b:
-                raise ValueError(f"residue {a} not in [0, {b})")
+                raise ValueError(f"residue {clip(a)} not in [0, {clip(b)})")
 
     def __iter__(self):
         return iter(self.equations)
@@ -219,7 +219,7 @@ def solve_linear_congruence(
     """Solution set of a*x = b (mod n): empty unless gcd(a, n) divides b,
     otherwise a progression with period n / gcd(a, n)."""
     if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+        raise ValueError(f"modulus must be >= 1, got {clip(n)}")
     if counter is not None:
         counter.charge(a, n)
         counter.charge(b, n)
@@ -276,7 +276,7 @@ def naive_intersection(
     """
     span = math.lcm(*(b for _, b in system)) if len(system) else 1
     if span > scan_bound:
-        raise ValueError(f"lcm {span} exceeds the scan bound {scan_bound}")
+        raise ValueError(f"lcm {clip(span)} exceeds the scan bound {clip(scan_bound)}")
     hits = [x for x in range(span) if system.satisfied_by(x)]
     if not hits:
         return EMPTY

@@ -1,52 +1,61 @@
-"""Solvability of congruence systems by prime-power splitting.
+"""Solvability of congruence systems over a coprime base.
 
-Factor every modulus, split each congruence into prime-power atoms
-x = z (mod p^e), then scan the atoms with one table per prime: the
-strongest residue seen for p, reduced at every level 1..e.  An atom no
-stronger than the table is answered by one lookup, in time polynomial in
-its own size, never in the size of what is already stored, which is what
-keeps the whole check linear for unary-sized inputs.  Every step is
-charged to a CrtStats, a fresh one when the caller passes none.  This route
-only decides solvability; it does not produce the solution progression.
+Each modulus is split over an incremental coprime base: a set of pairwise
+coprime integers > 1, refined by gcds as the moduli are read (the quadratic
+form of Bernstein, "Factoring into coprimes in essentially linear time",
+J. Algorithms 2005), so no modulus is ever factored into primes.  A
+congruence x = a (mod b) with b = prod q^e over the base becomes one atom
+x = a (mod q^e) per key q, and the atoms are scanned with one table per key:
+the strongest residue seen for q, reduced at every level 1..e.  Moduli q^e of
+distinct keys are coprime, so by the CRT the atoms decide the system, and
+the atoms of one key form a chain exactly as those of one prime would.  An
+atom no stronger than the table is answered by one lookup, in time
+polynomial in its own size, never in the size of what is already stored.
+Every step is charged to a CrtStats, a fresh one when the caller passes
+none.  This route only decides solvability; it does not produce the
+solution progression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, prod
 
-from .congruence import CongruenceSystem
+from .congruence import CongruenceSystem, clip
 
 
 @dataclass(frozen=True)
-class PrimePowerEquation:
-    """One atom x = residue (mod prime**exponent), with 0 <= residue < modulus."""
+class PowerEquation:
+    """One atom x = residue (mod base**exponent), with 0 <= residue < modulus."""
 
-    prime: int
+    base: int
     exponent: int
     residue: int
 
     @property
     def modulus(self) -> int:
-        return self.prime**self.exponent
+        return self.base**self.exponent
 
     def __str__(self):
-        return f"{self.residue} mod {self.prime}^{self.exponent}"
+        return f"{self.residue} mod {self.base}^{self.exponent}"
 
 
 @dataclass
 class CrtStats:
     """Accounting for one solvability check.
 
-    bit_ops charges comparisons at min(bit lengths) + 1 and reductions
-    quadratically in the operand widths, the straightforward arithmetic
-    model.  per_atom records (atom, bit_ops spent on that atom) so tests can
-    pin down that cheap atoms stay cheap next to expensive neighbours.
+    bit_ops charges comparisons at min(bit lengths) + 1, and gcds, divisions
+    and reductions quadratically in the operand widths, the straightforward
+    arithmetic model.  p_max is the largest base element and e_max the
+    longest table when the scan returns.  per_atom records (atom, bit_ops
+    spent on that atom) so tests can pin down that cheap atoms stay cheap
+    next to expensive neighbours.
     """
 
     p_max: int = 0
     e_max: int = 0
     bit_ops: int = 0
-    per_atom: list[tuple[PrimePowerEquation, int]] = field(default_factory=list)
+    per_atom: list[tuple[PowerEquation, int]] = field(default_factory=list)
 
     def charge_compare(self, x: int, y: int) -> int:
         cost = min(x.bit_length(), y.bit_length()) + 1
@@ -59,101 +68,137 @@ class CrtStats:
         return cost
 
 
-def factorize(b: int, stats: CrtStats | None = None) -> list[tuple[int, int]]:
-    """Trial-division factorization: ascending (prime, exponent) pairs, product b."""
-    if stats is None:
-        stats = CrtStats()
-    if b < 1:
-        raise ValueError(f"can only factor positive integers, got {b}")
-    out = []
-    x = b
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            e = 0
-            while x % d == 0:
-                stats.charge_mod(x, d)
-                x //= d
-                e += 1
-            out.append((d, e))
+def _coprime_pair(x: int, y: int, stats: CrtStats) -> list[tuple[int, int, int]]:
+    """A coprime base of x and y as (q, i, j) with x = prod q^i and y = prod q^j.
+
+    A piece sharing g > 1 with another is replaced, with the other, by g
+    and the two cofactors; the product of the pieces falls at every step.
+    """
+    pieces: dict[int, tuple[int, int]] = {}
+    todo = [(x, 1, 0), (y, 0, 1)]
+    while todo:
+        q, i, j = todo.pop()
+        for p in pieces:
+            stats.charge_mod(p, q)
+            g = gcd(p, q)
+            if g > 1:
+                break
         else:
-            stats.charge_mod(x, d)
-        d += 1 if d == 2 else 2
-    if x > 1:
-        out.append((x, 1))
-    return out
+            pieces[q] = (i, j)
+            continue
+        pi, pj = pieces.pop(p)
+        stats.charge_mod(p, g)
+        stats.charge_mod(q, g)
+        for r, ri, rj in ((g, pi + i, pj + j), (p // g, pi, pj), (q // g, i, j)):
+            if r > 1:
+                todo.append((r, ri, rj))
+    return [(q, i, j) for q, (i, j) in pieces.items()]
 
 
-def split_equation(
-    a: int, b: int, stats: CrtStats | None = None
-) -> list[PrimePowerEquation]:
-    """CRT split of x = a (mod b) into one atom per prime dividing b.
+def _refresh_levels(q: int, z: int, e: int, stats: CrtStats) -> list[int]:
+    """[z mod q^1, ..., z mod q^e], reducing stepwise from the top; [] for e = 0."""
+    levels = [0] * e
+    for level in range(e, 0, -1):
+        m = q**level
+        stats.charge_mod(z, m)
+        z = levels[level - 1] = z % m
+    return levels
 
-    b = 1 contributes nothing.  The conjunction of the atoms is equivalent
-    to the original congruence because the prime-power moduli are coprime.
+
+def factorize(
+    b: int, levels: dict[int, list[int]], stats: CrtStats | None = None
+) -> list[tuple[int, int]]:
+    """Take b into the coprime base whose keys are those of levels, and
+    return b's (key, exponent) pairs over the refined base; their product is b.
+
+    Only keys sharing a factor with b change.  Such a key y = prod q^c is
+    replaced by its pieces, and its table z mod y^e by z mod q^(c*e) for
+    each; a key that comes back unchanged keeps its table.  A part of b
+    coprime to every key becomes a new key with an empty table.
     """
     if stats is None:
         stats = CrtStats()
     if b < 1:
-        raise ValueError(f"modulus must be >= 1, got {b}")
-    if not 0 <= a < b:
-        raise ValueError(f"residue {a} not in [0, {b})")
-    atoms = []
-    for p, e in factorize(b, stats):
-        q = p**e
-        stats.charge_mod(a, q)
-        atoms.append(PrimePowerEquation(p, e, a % q))
-    return atoms
+        raise ValueError(f"modulus must be >= 1, got {clip(b)}")
+    if b == 1:
+        return []
+    # one gcd with every key, charged in one step
+    stats.bit_ops += (b.bit_length() + 1) * (sum(map(int.bit_length, levels)) + len(levels))
+    hits = [y for y in levels if gcd(b, y) > 1]
+    pairs = []
+    rest = b
+    for y in hits:
+        part = rest
+        k = 0
+        stats.charge_mod(rest, y)
+        while rest % y == 0:
+            rest //= y
+            k += 1
+            stats.charge_mod(rest, y)
+        stats.charge_mod(rest, y)
+        if gcd(rest, y) == 1:  # b's part over y is a power of y: y stays a key
+            pairs.append((y, k))
+            continue
+        pieces = _coprime_pair(part, y, stats)
+        # the pieces y does not use make up the rest of b, coprime to y
+        rest = prod(q**i for q, i, c in pieces if not c)
+        if (y, 1) not in [(q, c) for q, _, c in pieces]:
+            held = levels.pop(y)
+            z = held[-1] if held else 0
+            for q, _, c in pieces:
+                if c:  # z mod y^e holds z mod q^(c*e)
+                    levels[q] = _refresh_levels(q, z, c * len(held), stats)
+        pairs.extend((q, i) for q, i, c in pieces if i and c)
+    if rest > 1:
+        levels[rest] = []
+        pairs.append((rest, 1))
+    return pairs
 
 
-def _refresh_levels(p: int, z: int, e: int, stats: CrtStats) -> list[int]:
-    """[z mod p^1, ..., z mod p^e], cheapest first by reducing stepwise."""
-    levels = [0] * e
-    levels[e - 1] = z
-    for level in range(e - 1, 0, -1):
-        q = p**level
-        stats.charge_mod(levels[level], q)
-        levels[level - 1] = levels[level] % q
-    return levels
+def _scan(system: CongruenceSystem, levels: dict[int, list[int]], stats: CrtStats) -> bool:
+    for a, b in system:
+        for q, e_new in factorize(b, levels, stats):
+            m = q**e_new
+            stats.charge_mod(a, m)
+            atom = PowerEquation(q, e_new, a % m)
+            z_new = atom.residue
+            spent_before = stats.bit_ops
+            held = levels[q]
+            e = len(held)
+            stats.charge_compare(e, e_new)
+            if e_new <= e:
+                stats.charge_compare(held[e_new - 1], z_new)
+                if held[e_new - 1] != z_new:
+                    return False
+            else:
+                if e:
+                    m = q**e
+                    stats.charge_mod(z_new, m)
+                    stats.charge_compare(held[-1], z_new % m)
+                    if z_new % m != held[-1]:
+                        return False
+                levels[q] = _refresh_levels(q, z_new, e_new, stats)
+            stats.per_atom.append((atom, stats.bit_ops - spent_before))
+    return True
 
 
 def decide_solvable(
     system: CongruenceSystem, stats: CrtStats | None = None
 ) -> bool:
-    """True iff the system has a solution, by scanning prime-power atoms.
+    """True iff the system has a solution, by scanning atoms over a coprime base.
 
-    levels[p] is the strongest residue seen for p, reduced at every level
-    1..e, so the held atom is z = levels[p][-1] mod p^e with e =
-    len(levels[p]).  A new atom z' mod p^e' with e' <= e is answered by the
-    one lookup levels[p][e' - 1] == z'.  A stronger one must agree with z
-    at level e, then its own reductions replace the table.  The first
-    disagreement refutes the system, before later equations are factored.
+    levels[q] is the strongest residue seen for the key q, reduced at every
+    level 1..e, so the held atom is z = levels[q][-1] mod q^e with e =
+    len(levels[q]), and an empty table holds nothing yet.  A new atom
+    z' mod q^e' with e' <= e is answered by the one lookup
+    levels[q][e' - 1] == z'.  A stronger one must agree with z at level e,
+    then its own reductions replace the table.  The first disagreement
+    refutes the system, before later moduli are taken into the base.
     """
     if stats is None:
         stats = CrtStats()
     levels: dict[int, list[int]] = {}
-    for a, b in system:
-        for atom in split_equation(a, b, stats):
-            p, e_new, z_new = atom.prime, atom.exponent, atom.residue
-            spent_before = stats.bit_ops
-            stats.p_max = max(stats.p_max, p)
-            stats.e_max = max(stats.e_max, e_new)
-            held = levels.get(p)
-            if held is None:
-                levels[p] = _refresh_levels(p, z_new, e_new, stats)
-            else:
-                e = len(held)
-                stats.charge_compare(e, e_new)
-                if e_new <= e:
-                    stats.charge_compare(held[e_new - 1], z_new)
-                    if held[e_new - 1] != z_new:
-                        return False
-                else:
-                    q = p**e
-                    stats.charge_mod(z_new, q)
-                    stats.charge_compare(held[-1], z_new % q)
-                    if z_new % q != held[-1]:
-                        return False
-                    levels[p] = _refresh_levels(p, z_new, e_new, stats)
-            stats.per_atom.append((atom, stats.bit_ops - spent_before))
-    return True
+    solvable = _scan(system, levels, stats)
+    stats.p_max = max(stats.p_max, max(levels, default=0))
+    stats.e_max = max(stats.e_max, max(map(len, levels.values()), default=0))
+    return solvable

@@ -63,7 +63,7 @@ class Permutation:
 
     def __init__(self, n: int, cycles=()):
         if n < 1:
-            raise ValueError(f"degree must be >= 1, got {n}")
+            raise ValueError(f"degree must be >= 1, got {clip(n)}")
         self.n = n
         self.cycles = tuple(c for c in _checked_cycles(cycles, n) if len(c) >= 2)
 
@@ -163,7 +163,7 @@ def order(g: Permutation) -> int:
 def apply(g: Permutation, v: Configuration) -> Configuration:
     """One application of g to v."""
     if len(v) != g.n:
-        raise ValueError(f"configuration length {len(v)} does not match degree {g.n}")
+        raise ValueError(f"configuration length {len(v)} does not match degree {clip(g.n)}")
     out = list(v)
     for e in g.cycles:
         k = len(e)
@@ -175,9 +175,9 @@ def apply(g: Permutation, v: Configuration) -> Configuration:
 def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
     """g^r v computed in one pass: each cycle's projection is right-shifted r mod k times."""
     if r < 0:
-        raise ValueError(f"exponent must be >= 0, got {r}")
+        raise ValueError(f"exponent must be >= 0, got {clip(r)}")
     if len(v) != g.n:
-        raise ValueError(f"configuration length {len(v)} does not match degree {g.n}")
+        raise ValueError(f"configuration length {len(v)} does not match degree {clip(g.n)}")
     out = list(v)
     for e in g.cycles:
         k = len(e)

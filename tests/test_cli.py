@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cyclorbit
 from cyclorbit import OrbitAnswer, progression
 from cyclorbit.cli import (
     EXIT_BOUND,
@@ -181,6 +185,18 @@ def test_crt_check_command(tmp_path, capsys):
     assert out.startswith("UNSOLVABLE")
 
 
+def test_crt_check_big_prime_in_subprocess(tmp_path):
+    # a 61-bit prime modulus is answered at once, not factored by trial division
+    path = write(tmp_path, "sys.txt", "0 mod 2305843009213693951\n")
+    src = os.path.dirname(os.path.dirname(cyclorbit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys; from cyclorbit.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, "crt-check", path], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == EXIT_YES
+    assert done.stdout.splitlines()[0] == "SOLVABLE"
+
+
 def test_stirling_command(capsys):
     assert main(["stirling", "--max-n", "25"]) == EXIT_YES
     out = capsys.readouterr().out
@@ -230,4 +246,22 @@ def test_fuzzed_instances_never_crash(tmp_path, capsys):
         path = write(tmp_path, f"fuzz_sys_{trial}.txt", text)
         code = main(["congruence", path])
         assert code in (EXIT_YES, EXIT_NO, EXIT_INPUT)
+        capsys.readouterr()
+    # crt-check on lines of the same pieces, most of them 'a mod b' over the
+    # numeric pieces so that big moduli get through the parser; a 61-bit
+    # prime modulus must not stall it
+    pieces.append(str(2**61 - 1))
+    numbers = [p for p in pieces if p.isdigit()]
+    for trial in range(100):
+        lines = []
+        for _ in range(rng.randrange(0, 8)):
+            if rng.random() < 0.9:
+                a, b = sorted(rng.sample(numbers, 2), key=int)
+                lines.append(f"{a} mod {b}")
+            else:
+                lines.append(rng.choice(pieces))
+        path = write(tmp_path, f"fuzz_crt_{trial}.txt", "\n".join(lines))
+        code = main(["crt-check", path])
+        assert code in (EXIT_YES, EXIT_NO, EXIT_INPUT)
+        assert main(["congruence", path]) == code
         capsys.readouterr()

@@ -8,8 +8,12 @@ from cyclorbit import (
     ArithmeticProgression,
     CongruenceSystem,
     CostCounter,
+    Permutation,
     SystemFormatError,
+    apply,
+    apply_power,
     extended_gcd,
+    factorize,
     naive_intersection,
     progression,
     solve_linear_congruence,
@@ -183,3 +187,38 @@ def test_solver_cost_scales_with_operand_width():
     assert not solve_system(wide).is_empty
     assert c_wide.max_bits > 200
     assert c_wide.word_ops > c_small.word_ops
+
+
+HUGE = -(10**5000)  # past the 4300-digit limit for int-to-str conversion
+
+
+@pytest.mark.parametrize(
+    "call, words",
+    [
+        pytest.param(lambda: Permutation(HUGE), "degree must be >= 1, got ", id="Permutation"),
+        pytest.param(lambda: CongruenceSystem(((0, HUGE),)), "modulus must be >= 1, got ",
+                     id="CongruenceSystem-modulus"),
+        pytest.param(lambda: CongruenceSystem(((-HUGE, 3),)), "residue ",
+                     id="CongruenceSystem-residue"),
+        pytest.param(lambda: ArithmeticProgression(0, HUGE), "period must be >= 1, got ",
+                     id="ArithmeticProgression-period"),
+        pytest.param(lambda: ArithmeticProgression(-HUGE, 3), "offset ",
+                     id="ArithmeticProgression-offset"),
+        pytest.param(lambda: progression(0, HUGE), "period must be >= 1, got ", id="progression"),
+        pytest.param(lambda: apply_power(Permutation(2, [(1, 2)]), HUGE, "ab"),
+                     "exponent must be >= 0, got ", id="apply_power"),
+        pytest.param(lambda: factorize(HUGE, {}), "modulus must be >= 1, got ", id="factorize"),
+        pytest.param(lambda: apply(Permutation(-HUGE), "ab"),
+                     "configuration length 2 does not match degree ", id="apply"),
+        pytest.param(lambda: solve_linear_congruence(1, 0, HUGE), "modulus must be >= 1, got ",
+                     id="solve_linear_congruence"),
+        pytest.param(lambda: naive_intersection(CongruenceSystem(((0, -HUGE),))), "lcm ",
+                     id="naive_intersection"),
+    ],
+)
+def test_error_messages_clip_huge_values(call, words):
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(words) and "bit integer" in message
+    assert len(message) < 200

@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,59 +8,168 @@ from hypothesis import given, settings, strategies as st
 from cyclorbit import (
     CongruenceSystem,
     CrtStats,
-    PrimePowerEquation,
+    PowerEquation,
     decide_solvable,
     factorize,
     solve_system,
-    split_equation,
 )
 from cyclorbit import crt_solver
 
 from test_congruence import small_systems
 
+M61 = 2**61 - 1
+M127 = 2**127 - 1
+P100 = 2**100 - 15  # the largest prime below 2^100
+
+
+def _prime_powers(b):
+    """Trial division: the (prime, exponent) pairs of b, ascending."""
+    out = []
+    d = 2
+    while d * d <= b:
+        e = 0
+        while b % d == 0:
+            b //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if b > 1:
+        out.append((b, 1))
+    return out
+
+
+def _prime_power_oracle(system):
+    """Solvable iff, for every prime p, the congruences mod powers of p agree
+    with the strongest one.  Small moduli only: it factors by trial division."""
+    strongest = {}
+    atoms = []
+    for a, b in system:
+        for p, e in _prime_powers(b):
+            atoms.append((p, e, a % p**e))
+            if e > strongest.get(p, (0, 0))[0]:
+                strongest[p] = (e, a % p**e)
+    return all(strongest[p][1] % p**e == z for p, e, z in atoms)
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first twelve prime bases, exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+def _check_base(levels, b, pairs):
+    """pairs is b over the keys of levels, and those keys are a coprime base."""
+    assert math.prod(q**e for q, e in pairs) == b
+    assert all(e >= 1 for _, e in pairs)
+    used = {q for q, _ in pairs}
+    assert len(used) == len(pairs) and used <= set(levels)
+    assert all(q > 1 for q in levels)
+    assert all(math.gcd(p, q) == 1 for p, q in combinations(levels, 2))
+    assert all(math.gcd(q, b) == 1 for q in levels if q not in used)
+
 
 def test_factorize_known():
-    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
-    assert factorize(1) == []
-    assert factorize(2) == [(2, 1)]
-    assert factorize(97) == [(97, 1)]
-    assert factorize(1024) == [(2, 10)]
+    levels = {}
+    assert factorize(360, levels) == [(360, 1)]
+    assert levels == {360: []}
+    assert factorize(1, levels) == []
+    assert levels == {360: []}
+    assert factorize(2, levels) == [(2, 1)]
+    assert levels == {2: [], 45: []}
+    assert factorize(1024, levels) == [(2, 10)]
+    # 3 * 97 splits 45 into 3 (45 = 3^2 * 5) and 5; 97 is a new key
+    assert factorize(3 * 97, levels) == [(3, 1), (97, 1)]
+    assert levels == {2: [], 3: [], 5: [], 97: []}
     with pytest.raises(ValueError):
-        factorize(0)
+        factorize(0, {})
 
 
-@given(st.integers(1, 10**6))
-def test_factorize_reconstructs(b):
-    factors = factorize(b)
-    assert math.prod(p**e for p, e in factors) == b
-    for p, e in factors:
-        assert e >= 1
-        assert all(p % d for d in range(2, int(math.isqrt(p)) + 1))
-    assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+def test_factorize_rewrites_split_tables():
+    # 7 mod 360 is 7 mod 2^3 and 7 mod 45; the key 360 splits when 2 arrives
+    levels = {360: [7]}
+    assert factorize(2, levels) == [(2, 1)]
+    assert levels == {2: [1, 3, 7], 45: [7]}
+    # a key that comes back unchanged keeps its table object
+    table = levels[45]
+    assert factorize(45**2 * 7, levels) == [(45, 2), (7, 1)]
+    assert levels[45] is table and levels[7] == []
+    # 4 = 2^2 splits into 2 with twice the levels: 3 mod 4 is 1 mod 2, 3 mod 4
+    levels = {4: [3]}
+    assert factorize(2, levels) == [(2, 1)]
+    assert levels == {2: [1, 3]}
+    # 23 mod 6^2 is 23 mod 2^2 and 23 mod 3^2: both new tables keep two levels
+    levels = {6: [5, 23]}
+    assert factorize(4, levels) == [(2, 2)]
+    assert levels == {2: [1, 3], 3: [2, 5]}
+    assert not decide_solvable(CongruenceSystem(((5, 6), (23, 36), (1, 4))))
+    assert decide_solvable(CongruenceSystem(((5, 6), (23, 36), (3, 4))))
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+def test_factorize_reconstructs(moduli):
+    levels = {}
+    for b in moduli:
+        _check_base(levels, b, factorize(b, levels))
 
 
 def test_split_equation_known():
-    assert split_equation(7, 12) == [
-        PrimePowerEquation(2, 2, 3),
-        PrimePowerEquation(3, 1, 1),
+    # the atoms of x = a (mod b) over the base are a mod q^e for b's pairs
+    levels = {}
+    factorize(4, levels)
+    factorize(9, levels)
+    # 4 stays a key; 9 = 3^2 becomes 3
+    assert factorize(12, levels) == [(4, 1), (3, 1)]
+    assert levels == {4: [], 3: []}
+    stats = CrtStats()
+    assert decide_solvable(CongruenceSystem(((3, 4), (7, 12))), stats)
+    assert [atom for atom, _ in stats.per_atom] == [
+        PowerEquation(4, 1, 3),
+        PowerEquation(4, 1, 3),
+        PowerEquation(3, 1, 1),
     ]
-    assert split_equation(5, 6) == [
-        PrimePowerEquation(2, 1, 1),
-        PrimePowerEquation(3, 1, 2),
-    ]
-    assert split_equation(0, 1) == []
-    with pytest.raises(ValueError):
-        split_equation(3, 2)
+    assert str(PowerEquation(4, 1, 3)) == "3 mod 4^1"
 
 
-@given(st.integers(2, 5000).flatmap(lambda b: st.tuples(st.integers(0, b - 1), st.just(b))))
-def test_split_is_equivalent_to_original(eq):
+@given(
+    st.lists(st.integers(2, 60), max_size=4),
+    st.integers(2, 3000).flatmap(lambda b: st.tuples(st.integers(0, b - 1), st.just(b))),
+)
+def test_split_is_equivalent_to_original(earlier, eq):
     a, b = eq
-    atoms = split_equation(a, b)
+    levels = {}
+    for m in earlier:
+        factorize(m, levels)
+    atoms = [(q**e, a % q**e) for q, e in factorize(b, levels)]
     # same solution set over one full period
     for x in range(b):
         original = (x - a) % b == 0
-        split = all((x - at.residue) % at.modulus == 0 for at in atoms)
+        split = all((x - z) % m == 0 for m, z in atoms)
         assert original == split
 
 
@@ -92,13 +203,57 @@ def test_decide_solvable_matches_solver_wide_moduli(eqs):
     assert decide_solvable(sys_) == (not solve_system(sys_).is_empty)
 
 
+@settings(max_examples=300)
+@given(
+    st.integers(0, 10**12),
+    st.lists(
+        st.tuples(st.integers(1, 10**4), st.none() | st.integers(0, 10**12)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_decide_solvable_matches_prime_power_oracle(x, picks):
+    # residues mostly follow one hidden x, so the prime-power chains run long
+    sys_ = CongruenceSystem(tuple(((x if y is None else y) % b, b) for b, y in picks))
+    assert decide_solvable(sys_) == _prime_power_oracle(sys_)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(2, 2**64).map(_next_prime), min_size=1, max_size=4, unique=True),
+    st.integers(0, 2**300),
+    st.integers(1, 2**64),
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 2), min_size=4, max_size=4), st.integers(0, 2)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_decide_solvable_matches_solver_large_primes(primes, x, t, picks, rnd):
+    # moduli are products of a few shared large primes, so a key that holds
+    # a table is split when a later modulus takes only some of its primes;
+    # x and x + t * prod(primes) agree modulo every prime but not its square
+    hidden = (x, x + t * math.prod(primes))
+    eqs = []
+    for exponents, kind in picks:
+        b = math.prod(p**e for p, e in zip(primes, exponents))
+        eqs.append((hidden[kind] % b if kind < 2 else rnd.randrange(b), b))
+    sys_ = CongruenceSystem(tuple(eqs))
+    assert decide_solvable(sys_) == (not solve_system(sys_).is_empty)
+
+
 def test_stats_p_max_e_max():
+    # 360 is one key until 2 splits it into 2 (levels 1..3) and 45
     stats = CrtStats()
     decide_solvable(CongruenceSystem(((7, 360), (1, 2))), stats)
-    assert stats.p_max == 5
+    assert stats.p_max == 45
     assert stats.e_max == 3
     assert stats.bit_ops > 0
-    assert len(stats.per_atom) == 4  # 2^3, 3^2, 5 and the lone 2
+    assert [atom for atom, _ in stats.per_atom] == [
+        PowerEquation(360, 1, 7),
+        PowerEquation(2, 1, 1),
+    ]
 
 
 def test_repeated_weak_checks_stay_cheap():
@@ -110,11 +265,11 @@ def test_repeated_weak_checks_stay_cheap():
     eqs = [(residue, big_mod)] + [(residue % 2, 2)] * 50
     stats = CrtStats()
     assert decide_solvable(CongruenceSystem(tuple(eqs)), stats)
-    small_costs = [cost for atom, cost in stats.per_atom if atom.exponent == 1]
+    small_costs = [cost for atom, cost in stats.per_atom if atom.base == 2]
     assert len(small_costs) == 50
     assert max(small_costs) <= 16, small_costs
     # contrast: even one reduction of the stored residue would cost ~1000
-    assert stats.per_atom[0][0] == PrimePowerEquation(2, 500, residue)
+    assert stats.per_atom[0][0] == PowerEquation(2**500, 1, residue)
 
 
 def test_conflict_found_at_lower_level():
@@ -149,15 +304,39 @@ def test_decide_solvable_matches_solver_smooth_moduli(x, picks):
     assert decide_solvable(sys_) == (not solve_system(sys_).is_empty)
 
 
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        (M61,),
+        (M127,),
+        (M61 * M127,),
+        (M61, M127, M61 * M127),
+        (P100 * 3, P100 * 5),
+        (P100**2 * 7, P100 * 7),
+    ],
+)
+def test_big_moduli(moduli):
+    # moduli whose prime factors trial division could never reach
+    rng = random.Random(len(moduli))
+    x = rng.randrange(math.prod(moduli))
+    solvable = CongruenceSystem(tuple((x % b, b) for b in moduli))
+    assert decide_solvable(solvable)
+    assert not solve_system(solvable).is_empty
+    last = moduli[-1]
+    unsolvable = CongruenceSystem(solvable.equations + (((x + 1) % last, last),))
+    assert not decide_solvable(unsolvable)
+    assert solve_system(unsolvable).is_empty
+
+
 def test_refutation_stops_before_later_moduli(monkeypatch):
-    # 1 mod 2 against 0 mod 2 refutes the system before the 61-bit prime,
-    # which trial division would spend minutes on, is factored
+    # 1 mod 2 against 0 mod 2 refutes the system before the 61-bit prime
+    # is taken into the base
     factorize = crt_solver.factorize
 
-    def small_only(b, stats=None):
+    def small_only(b, levels, stats=None):
         if b > 2**40:
             pytest.fail(f"factorize called on {b}")
-        return factorize(b, stats)
+        return factorize(b, levels, stats)
 
     monkeypatch.setattr(crt_solver, "factorize", small_only)
-    assert not decide_solvable(CongruenceSystem(((1, 2), (0, 2), (0, 2**61 - 1))))
+    assert not decide_solvable(CongruenceSystem(((1, 2), (0, 2), (0, M61))))
