@@ -108,13 +108,7 @@ def _read_text(path: str) -> str:
 
 
 def load_instance(path: str) -> Instance:
-    text = _read_text(path)
-    try:
-        return parse_instance_text(text)
-    except InstanceError:
-        raise
-    except Exception as exc:  # malformed input must never escape as a traceback
-        raise InstanceError(f"cannot parse {path}: {exc}") from None
+    return parse_instance_text(_read_text(path))
 
 
 def _write_csv(path: str, rows) -> None:

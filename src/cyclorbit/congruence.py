@@ -105,10 +105,13 @@ _CLIP = 40
 
 def clip(value) -> str:
     """str(value) for an error message, cut off past 40 characters and counted;
-    an int past the digit limit is named by its bit length, so clip never raises."""
+    an int past the digit limit is named by its bit length, so clip never
+    raises on an int."""
     try:
         text = str(value)
     except ValueError:  # past the interpreter's int digit limit
+        if not isinstance(value, int):  # a cycle holding such an int
+            raise
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
     return text if len(text) <= _CLIP else f"{text[:_CLIP]}... ({len(text)} characters)"
 

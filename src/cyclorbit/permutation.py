@@ -8,15 +8,16 @@ shift of the projected string, which is what the whole reduction to
 congruences rests on.
 
 A permutation's indices are checked once, by one pass over all its cycles
-when it is built; parse_permutation's token scanner keeps its own checks.
+when it is built; parse_permutation reads whitespace-free cycle notation
+with the json module and leaves the rest, and every error, to a token
+scanner that keeps its own checks.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
-
-import numpy as np
 
 from .congruence import clip, parse_int
 
@@ -196,7 +197,7 @@ def project(v: Configuration, c: Cycle) -> str:
     try:
         return "".join([v[j - 1] for j in c])
     except IndexError:
-        raise ValueError(f"cycle {c!r} reaches outside the configuration") from None
+        raise ValueError(f"cycle {clip(c)} reaches outside the configuration") from None
 
 
 def format_permutation(g: Permutation) -> str:
@@ -206,9 +207,8 @@ def format_permutation(g: Permutation) -> str:
 
 _TOKEN = re.compile(r"\d+|\S")
 
-# an index of at most 18 decimal digits fits an int64
-_FAST_DIGITS = 18
-_OPEN, _CLOSE, _COMMA, _ZERO = b"(),0"
+# deletes every character that whitespace-free cycle notation may hold
+_NOT_NOTATION = str.maketrans("", "", "0123456789(),")
 
 
 def parse_permutation(text: str, n: int) -> Permutation:
@@ -219,73 +219,20 @@ def parse_permutation(text: str, n: int) -> Permutation:
     of the first problem: bad syntax, an index outside [1, n] or past the
     interpreter's digit limit, or an index used twice.
 
-    Whitespace-free ASCII text is read in bulk and its indices are checked
-    only by Permutation.  Text the bulk pass cannot read, or that Permutation
-    rejects, goes to the token scanner, which finds and reports the problem,
-    so both paths give the same result or the same error.
+    Text of only 0-9, parentheses and commas that starts with ( and ends
+    with ) is read in bulk by json: with ")(" turned into "],[" and the
+    whole put in brackets, JSON's grammar over those characters is cycle
+    notation without leading zeros, and its indices are checked only by
+    Permutation.  Text json rejects, or that Permutation rejects, goes to
+    the token scanner, which finds and reports the problem, so both paths
+    give the same result or the same error.
     """
-    try:
-        return Permutation(n, _bulk_cycles(text))
-    except ValueError:  # not read in bulk, or an index outside [1, n] or used twice
-        return _scan_permutation(text, n)
-
-
-def _bulk_cycles(text: str):
-    """The cycles of whitespace-free ASCII cycle notation, one list of
-    indices each, unchecked; ValueError when the text is not of that form or
-    holds an index of more than 18 digits.
-
-    All indices are read at once into one int64 array, and each cycle's list
-    is made only when it is reached.  One byte or bool per character and one
-    int64 per index, with no per-character array kept past the shape check.
-    """
-    if not (text.isascii() and text[:1] == "(" and text[-1:] == ")"):
-        raise ValueError("not whitespace-free ASCII cycle notation")
-    b = np.frombuffer(text.encode("ascii"), np.uint8)
-    starts, lengths, ends = _index_runs(b)
-    width = int(lengths.max())
-    if width > _FAST_DIGITS:
-        raise ValueError(f"an index has more than {_FAST_DIGITS} digits")
-    vals = np.zeros(starts.size, np.int64)
-    for d in range(width):  # Horner's rule, one digit position at a time
-        live = lengths > d
-        digit = b.take(starts, mode="clip")
-        digit -= _ZERO
-        np.multiply(vals, 10, out=vals, where=live)
-        np.add(vals, digit, out=vals, where=live)
-        starts += 1
-    ends = ends.tolist()
-    return (vals[i:j].tolist() for i, j in zip([0] + ends, ends))
-
-
-def _index_runs(b):
-    """(starts, lengths, ends) of the indices in the bytes b of cycle
-    notation that starts with ( and ends with ); ValueError if b is not of
-    the shape of cycles "(" i ("," i)* ")" one after another.
-
-    That shape is fixed by which character may follow which, so local
-    successor rules check it exactly.
-    """
-    isdig = b - np.uint8(_ZERO) < 10  # wraps below '0', so only 0-9 pass
-    sep = b == _OPEN
-    sep |= b == _COMMA  # ( and , are followed by an index
-    known = b == _CLOSE
-    known |= isdig
-    known |= sep
-    if (
-        not known.all()
-        or (sep[:-1] > isdig[1:]).any()  # ( or , not followed by a digit
-        or ((b[:-1] == _CLOSE) > (b[1:] == _OPEN)).any()  # ) not followed by (
-        or (isdig[:-1] & (b[1:] == _OPEN)).any()  # an index followed by (
-    ):
-        raise ValueError("not of the shape of cycle notation")
-    starts = np.flatnonzero(sep)
-    starts += 1
-    term = b == _CLOSE  # each index ends at , or )
-    term |= b == _COMMA
-    lengths = np.flatnonzero(term)
-    lengths -= starts
-    return starts, lengths, np.searchsorted(starts, np.flatnonzero(b == _CLOSE))
+    if text[:1] == "(" and text[-1:] == ")" and not text.translate(_NOT_NOTATION):
+        try:
+            return Permutation(n, json.loads("[[" + text[1:-1].replace(")(", "],[") + "]]"))
+        except ValueError:  # not JSON, or an index outside [1, n] or used twice
+            pass
+    return _scan_permutation(text, n)
 
 
 def _scan_permutation(text: str, n: int) -> Permutation:

@@ -249,6 +249,9 @@ def test_parse_bulk_roundtrip(monkeypatch):
 
     monkeypatch.setattr(permutation, "_scan_permutation", refuse)
     assert parse_permutation(format_permutation(g), g.n) == g
+    # indices of any length up to the digit limit are read in bulk
+    wide = Permutation(10**30, [(1, 10**29 + 7, 2), (9876543210123456789, 3)])
+    assert parse_permutation(format_permutation(wide), wide.n) == wide
 
 
 def test_parse_errors_left_to_scanner():
@@ -265,7 +268,7 @@ def test_parse_errors_left_to_scanner():
             parse_permutation(text, n)
         assert exc.value.position == pos, text
         assert str(exc.value) == f"{message} (at position {pos})", text
-    # the bulk pass reads at most 18 digits; the scanner reads the rest
+    # a 19-digit index in valid notation is read like any other
     assert parse_permutation(f"(1,{big})", 10**30) == Permutation(10**30, [(1, int(big))])
 
 
@@ -299,6 +302,12 @@ def test_project_running_example():
 def test_project_outside_configuration():
     with pytest.raises(ValueError):
         project("0101", Cycle((2, 5)))
+    # the message names a long cycle only in part
+    with pytest.raises(ValueError) as exc:
+        project("ab", Cycle(range(1, 10**5)))
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ValueError):  # a cycle holding an index past the digit limit
+        project("ab", Cycle((1, 10**5000)))
 
 
 def test_apply_length_mismatch():
