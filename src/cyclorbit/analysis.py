@@ -178,8 +178,8 @@ def measure_average_cost(n: int, trials: int, rng_seed: int) -> AverageCostStats
     reduction always emits one equation per cycle and the congruence solver
     always runs to completion.  Only the solver is costed; the string work
     of the reduction is excluded so the numbers isolate the equation side.
-    Trial t draws from seeds spawned off (rng_seed, t), so results do not
-    depend on execution order.
+    Trial t draws from its own random.Random seeded with f"{rng_seed}/{t}",
+    so results do not depend on execution order.
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")

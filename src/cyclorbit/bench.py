@@ -14,10 +14,8 @@ import statistics
 import time
 from dataclasses import astuple, dataclass, fields
 
-import numpy as np
-
-from .congruence import CostCounter, solve_system
-from .orbit import reduce
+from .congruence import CostCounter
+from .orbit import decide_orbit
 from .permutation import Permutation, apply_power, order, primorial_permutation
 
 
@@ -26,7 +24,7 @@ class ScalingRow:
     label: str
     degree: int
     input_size_bits: int
-    wall_time: float  # median over repeats, seconds
+    wall_time: float  # median decide_orbit time over repeats, verification included, seconds
     word_ops: int
     max_bits: int
     order_bits: int  # bit length of order(g): enumeration cost in disguise
@@ -59,13 +57,13 @@ def instance_size_bits(g: Permutation, v: str, w: str, alphabet_size: int = 2) -
 def _random_orbit_instance(n: int, rng_seed: int, key: int):
     """(g, v, r, w): a uniform permutation g of [1, n], a uniform binary v, a
     uniform exponent r in [0, order(g)) and w = g^r v, drawn in that order
-    from the stream spawned off (rng_seed, key)."""
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(key,)))
-    g = Permutation.from_mapping(rng.permutation(n).tolist())
-    v = "".join("1" if b else "0" for b in rng.integers(0, 2, size=n).tolist())
-    # order(g) routinely overflows 64 bits, so the exponent comes from a
-    # stdlib generator (arbitrary precision) seeded off the same stream
-    r = random.Random(int.from_bytes(rng.bytes(16), "big")).randrange(order(g))
+    from one random.Random seeded with the string f"{rng_seed}/{key}"."""
+    rng = random.Random(f"{rng_seed}/{key}")
+    mapping = list(range(n))
+    rng.shuffle(mapping)
+    g = Permutation.from_mapping(mapping)
+    v = format(rng.getrandbits(n), f"0{n}b")
+    r = rng.randrange(order(g))
     return g, v, r, apply_power(g, r, v)
 
 
@@ -79,18 +77,12 @@ def _measure_instance(g, v, w, label, r_star, repeats):
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        system = reduce(g, v, w)
-        solutions = solve_system(system)
+        decide_orbit(g, v, w)
         times.append(time.perf_counter() - t0)
     counter = CostCounter()
-    system = reduce(g, v, w, counter)
-    if system is None:
-        raise RuntimeError(f"{label}: an in-orbit instance reduced to NO")
-    solutions = solve_system(system, counter)
-    if solutions.is_empty or r_star not in solutions:
-        raise RuntimeError(f"{label}: solutions {solutions} miss the planted r={r_star}")
-    if apply_power(g, solutions.offset, v) != w:
-        raise RuntimeError(f"{label}: witness r={solutions.offset} does not carry v to w")
+    answer = decide_orbit(g, v, w, counter)
+    if not answer.in_orbit or r_star not in answer.solutions:
+        raise RuntimeError(f"{label}: answer {answer} misses the planted r={r_star}")
     return ScalingRow(
         label=label,
         degree=g.n,
@@ -100,8 +92,8 @@ def _measure_instance(g, v, w, label, r_star, repeats):
         max_bits=counter.max_bits,
         order_bits=order(g).bit_length(),
         r_star=r_star,
-        witness=solutions.offset,
-        period=solutions.period,
+        witness=answer.witness,
+        period=answer.solutions.period,
     )
 
 

@@ -103,16 +103,19 @@ def progression(offset: int, period: int) -> ArithmeticProgression:
 _CLIP = 40
 
 
+def decimal(value: int) -> str:
+    """str(value); an int past the interpreter's digit limit is named by its
+    sign and bit length instead, so decimal never raises."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
 def clip(value) -> str:
     """str(value) for an error message, cut off past 40 characters and counted;
-    an int past the digit limit is named by its bit length, so clip never
-    raises on an int."""
-    try:
-        text = str(value)
-    except ValueError:  # past the interpreter's int digit limit
-        if not isinstance(value, int):  # a cycle holding such an int
-            raise
-        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+    an int is written by decimal, so clip never raises on an int."""
+    text = decimal(value) if isinstance(value, int) else str(value)
     return text if len(text) <= _CLIP else f"{text[:_CLIP]}... ({len(text)} characters)"
 
 

@@ -11,8 +11,8 @@ x = a_i (mod b_i) and the orbit question becomes solvability of the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress
+from operator import ne
 
 from .congruence import (
     ArithmeticProgression,
@@ -53,6 +53,9 @@ class OrbitAnswer:
 
 NOT_IN_ORBIT = OrbitAnswer(False)
 
+# turns a moved mask into a fixed-point mask
+_FIXED = bytes.maketrans(b"\0\1", b"\1\0")
+
 
 def reduce(
     g: Permutation,
@@ -71,10 +74,10 @@ def reduce(
         raise ValueError(
             f"configuration lengths {len(v)}, {len(w)} do not match degree {g.n}"
         )
-    fixed = ~np.frombuffer(g.moved_mask(), np.bool_)
+    fixed = g.moved_mask().translate(_FIXED)
     if counter is not None:
         counter.add_word_ops(g.n)
-    if (fixed & (_codes(v) != _codes(w))).any():
+    if any(map(ne, compress(v, fixed), compress(w, fixed))):
         return None
     equations = []
     for c in g.cycles:
@@ -97,11 +100,6 @@ def reduce(
             counter.charge(a_i, b_i)
         equations.append((a_i, b_i))
     return CongruenceSystem(tuple(equations))
-
-
-def _codes(s: str):
-    """The code points of s as one uint32 array; lone surrogates included."""
-    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), np.uint32)
 
 
 def decide_orbit(

@@ -19,7 +19,7 @@ import json
 import math
 import re
 
-from .congruence import clip, parse_int
+from .congruence import clip, decimal, parse_int
 
 Configuration = str
 
@@ -50,7 +50,7 @@ class Cycle(tuple):
         return self
 
     def __repr__(self):
-        return "(" + ",".join(map(str, self)) + ")"
+        return "(" + ",".join(map(decimal, self)) + ")"
 
 
 class Permutation:
@@ -99,7 +99,7 @@ class Permutation:
         return hash((self.n, self.cycles))
 
     def __repr__(self):
-        return f"Permutation({self.n}, {format_permutation(self)!r})"
+        return f"Permutation({decimal(self.n)}, {''.join(map(repr, self.cycles))!r})"
 
 
 def _checked_cycles(cycles, n=math.inf) -> list[Cycle]:
@@ -201,8 +201,13 @@ def project(v: Configuration, c: Cycle) -> str:
 
 
 def format_permutation(g: Permutation) -> str:
-    """Cycle notation, e.g. "(6,5,7,3,2,1)(4,8)"; the identity formats as ""."""
-    return "".join(repr(c) for c in g.cycles)
+    """Cycle notation, e.g. "(6,5,7,3,2,1)(4,8)"; the identity formats as "".
+    Exact, so an index past the interpreter's digit limit raises a ValueError."""
+    try:
+        return "".join("(" + ",".join(map(str, c)) + ")" for c in g.cycles)
+    except ValueError:  # then the largest index is past the limit
+        top = clip(max(map(max, g.cycles)))
+        raise ValueError(f"index {top} is past the digit limit of cycle notation") from None
 
 
 _TOKEN = re.compile(r"\d+|\S")

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cyclorbit
 from cyclorbit import (
     EMPTY,
     Permutation,
@@ -19,7 +25,7 @@ def test_instance_size_bits():
 
 
 def test_scaling_row_check_raises(monkeypatch):
-    monkeypatch.setattr("cyclorbit.bench.solve_system", lambda *args: EMPTY)
+    monkeypatch.setattr("cyclorbit.orbit.solve_system", lambda *args: EMPTY)
     with pytest.raises(RuntimeError, match="planted"):
         run_primorial_scaling(2)
 
@@ -71,3 +77,17 @@ def test_csv_rows_header():
         ("i=1", 2, 7, "0.000123457", 3, 2, 1, 1, 0, 2),
     ]
 
+
+def test_runs_on_the_standard_library_alone():
+    code = (
+        "import sys\n"
+        "from cyclorbit import Permutation, decide_orbit, run_random_scaling\n"
+        "print(decide_orbit(Permutation(2, [(1, 2)]), '01', '10'))\n"
+        "print(len(run_random_scaling(sizes=(16, 32), repeats=1).rows))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = Path(cyclorbit.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["YES r=1 solutions=1+2Z", "2", "False", ""]

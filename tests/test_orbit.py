@@ -58,6 +58,9 @@ def test_reduce_fixed_point_mismatch_non_bmp():
     g = Permutation(3, [(1, 2)])
     assert reduce(g, "a\U0001F600a", "\U0001F600a\U0001F600") is None
     assert reduce(g, "a\U0001F600a", "\U0001F600aa") == CongruenceSystem(((1, 2),))
+    # so is a lone surrogate
+    assert reduce(g, "ab\ud800", "ba\ud800") == CongruenceSystem(((1, 2),))
+    assert reduce(g, "ab\ud800", "ba\udc00") is None
 
 
 def test_reduce_unmatchable_cycle():

@@ -90,11 +90,16 @@ def test_constructor_errors_name_one_clipped_index():
 
 
 def test_huge_valid_permutation_cannot_be_printed():
-    # like repr(10**5000): building it works, printing it hits the digit limit
+    # like str(10**5000): building it works, exact cycle notation hits the
+    # digit limit; repr names each value past the limit by its bit length
     g = Permutation(10**5000, [(1, 10**4400)])
     assert g.cycles == ((1, 10**4400),)
-    with pytest.raises(ValueError):
-        repr(g)
+    assert repr(g) == "Permutation(<16610-bit integer>, '(1,<14617-bit integer>)')"
+    assert repr(g.cycles[0]) == "(1,<14617-bit integer>)"
+    with pytest.raises(ValueError) as exc:
+        format_permutation(g)
+    assert str(exc.value) == "index <14617-bit integer> is past the digit limit of cycle notation"
+    assert format_permutation(Permutation(10**5000, [(1, 10**4000)])) == f"(1,{10**4000})"
 
 
 def test_cycle_copy_is_checked_again(monkeypatch):
