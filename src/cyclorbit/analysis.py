@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bench import _random_orbit_instance
-from .congruence import CostCounter, solve_system
+from .congruence import CostCounter, clip, solve_system
 from .orbit import reduce
 
 
@@ -29,7 +29,7 @@ class StirlingTable:
 
     def __init__(self, n_max: int):
         if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
+            raise ValueError(f"n_max must be >= 0, got {clip(n_max)}")
         rows = [[1]]
         for n in range(n_max):
             prev = rows[-1]
@@ -42,14 +42,14 @@ class StirlingTable:
 
     def value(self, n: int, k: int) -> int:
         if not 0 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside the table (n_max={self.n_max})")
+            raise ValueError(f"n={clip(n)} outside the table (n_max={clip(self.n_max)})")
         if k < 0 or k > n:
             return 0
         return self._rows[n][k]
 
     def row(self, n: int) -> list[int]:
         if not 0 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside the table (n_max={self.n_max})")
+            raise ValueError(f"n={clip(n)} outside the table (n_max={clip(self.n_max)})")
         return list(self._rows[n])
 
 
@@ -114,7 +114,7 @@ def verify_moment_identities(n_max: int) -> IdentityReport:
     both sides.
     """
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise ValueError(f"n_max must be >= 1, got {clip(n_max)}")
     table = StirlingTable(n_max + 1)
     harm = harmonic_values(n_max)
     report = IdentityReport(n_max=n_max, checked=0)
@@ -141,7 +141,7 @@ def verify_moment_identities(n_max: int) -> IdentityReport:
 def asymptotic_ratio_report(n_max: int) -> list[tuple[int, float]]:
     """(n, E[K^3] / ln(n)^3) for n in [2, n_max]; the ratio drifts toward 1 slowly."""
     if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+        raise ValueError(f"n_max must be >= 2, got {clip(n_max)}")
     table = StirlingTable(n_max)
     out = []
     for n in range(2, n_max + 1):

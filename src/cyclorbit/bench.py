@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import astuple, dataclass, fields
 
-from .congruence import CostCounter
+from .congruence import CostCounter, clip
 from .orbit import decide_orbit
 from .permutation import Permutation, apply_power, order, primorial_permutation
 
@@ -107,9 +107,9 @@ def run_primorial_scaling(
     containing r*.
     """
     if i_max < 1:
-        raise ValueError(f"need i_max >= 1, got {i_max}")
+        raise ValueError(f"need i_max >= 1, got {clip(i_max)}")
     if repeats < 1:
-        raise ValueError(f"need repeats >= 1, got {repeats}")
+        raise ValueError(f"need repeats >= 1, got {clip(repeats)}")
     rng = random.Random(rng_seed)
     rows = []
     for i in range(1, i_max + 1):
@@ -128,7 +128,7 @@ def run_random_scaling(
 ) -> ScalingReport:
     """Decide one in-orbit instance per size over uniform random permutations."""
     if repeats < 1:
-        raise ValueError(f"need repeats >= 1, got {repeats}")
+        raise ValueError(f"need repeats >= 1, got {clip(repeats)}")
     rows = []
     for idx, n in enumerate(sizes):
         g, v, r_star, w = _random_orbit_instance(n, rng_seed, idx)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 WORD_BITS = 64
 
 
+@dataclass(slots=True, eq=False)
 class CostCounter:
     """Tallies word operations and the widest operand seen.
 
@@ -24,11 +25,8 @@ class CostCounter:
     width.  add_word_ops charges flat units for symbol-level work.
     """
 
-    __slots__ = ("word_ops", "max_bits")
-
-    def __init__(self):
-        self.word_ops = 0
-        self.max_bits = 0
+    word_ops: int = field(default=0, init=False)
+    max_bits: int = field(default=0, init=False)
 
     def charge(self, *operands: int):
         bits = 1
@@ -49,9 +47,6 @@ class CostCounter:
             b = x.bit_length()
             if b > self.max_bits:
                 self.max_bits = b
-
-    def __repr__(self):
-        return f"CostCounter(word_ops={self.word_ops}, max_bits={self.max_bits})"
 
 
 @dataclass(frozen=True)
@@ -146,6 +141,14 @@ class SystemFormatError(ValueError):
         self.line = line
 
 
+def _check_equation(a: int, b: int) -> None:
+    """The one check of an equation x = a (mod b): b >= 1 and 0 <= a < b."""
+    if b < 1:
+        raise ValueError(f"modulus must be >= 1, got {clip(b)}")
+    if not 0 <= a < b:
+        raise ValueError(f"residue {clip(a)} not in [0, {clip(b)})")
+
+
 @dataclass(frozen=True)
 class CongruenceSystem:
     """A conjunction of congruences x = a_i (mod b_i), each with 0 <= a_i < b_i."""
@@ -154,10 +157,7 @@ class CongruenceSystem:
 
     def __post_init__(self):
         for a, b in self.equations:
-            if b < 1:
-                raise ValueError(f"modulus must be >= 1, got {clip(b)}")
-            if not 0 <= a < b:
-                raise ValueError(f"residue {clip(a)} not in [0, {clip(b)})")
+            _check_equation(a, b)
 
     def __iter__(self):
         return iter(self.equations)
@@ -184,16 +184,9 @@ class CongruenceSystem:
             try:
                 a = parse_int(parts[0], "residue")
                 b = parse_int(parts[2], "modulus")
+                _check_equation(a, b)
             except ValueError as exc:
                 raise SystemFormatError(str(exc), lineno) from None
-            if b < 1:
-                raise SystemFormatError(
-                    f"modulus must be >= 1, got {clip(parts[2])}", lineno
-                )
-            if not 0 <= a < b:
-                raise SystemFormatError(
-                    f"residue {clip(parts[0])} not in [0, {clip(parts[2])})", lineno
-                )
             eqs.append((a, b))
         return cls(tuple(eqs))
 

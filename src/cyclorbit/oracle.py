@@ -7,7 +7,7 @@ between the two is real evidence.
 
 from __future__ import annotations
 
-from .congruence import ArithmeticProgression
+from .congruence import ArithmeticProgression, clip
 from .orbit import NOT_IN_ORBIT, OrbitAnswer
 from .permutation import Configuration, Permutation, order
 from .strmatch import rotate_right
@@ -64,11 +64,11 @@ def brute_force_orbit(
     """
     if len(v) != g.n or len(w) != g.n:
         raise ValueError(
-            f"configuration lengths {len(v)}, {len(w)} do not match degree {g.n}"
+            f"configuration lengths {len(v)}, {len(w)} do not match degree {clip(g.n)}"
         )
     n_steps = order(g)
     if n_steps > bound:
-        raise OrderBoundExceeded(f"order {n_steps} exceeds the bound {bound}")
+        raise OrderBoundExceeded(f"order {clip(n_steps)} exceeds the bound {clip(bound)}")
     codes = {ch: i for i, ch in enumerate(sorted(set(v) | set(w)))}
     hits = orbit_scan(
         g.mapping(), [codes[ch] for ch in v], [codes[ch] for ch in w], n_steps
@@ -80,6 +80,6 @@ def brute_force_orbit(
     # hits over one full period must be evenly spaced with gap | order
     if n_steps % gap or hits != list(range(first, n_steps, gap)) or first >= gap:
         raise RuntimeError(
-            f"orbit scan hits {hits[:8]} are not one progression mod {n_steps}"
+            f"orbit scan hits {hits[:8]} are not one progression mod {clip(n_steps)}"
         )
     return OrbitAnswer(True, ArithmeticProgression(first, gap))

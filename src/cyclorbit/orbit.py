@@ -21,7 +21,7 @@ from .congruence import (
     clip,
     solve_system,
 )
-from .permutation import Configuration, Permutation, apply_power, project
+from .permutation import Configuration, Permutation, apply_power, check_configuration, project
 from .strmatch import rotation_exponents
 
 
@@ -70,10 +70,7 @@ def reduce(
     admissible rotations on a cycle the emitted modulus is their common gap,
     which divides the cycle length.
     """
-    if len(v) != g.n or len(w) != g.n:
-        raise ValueError(
-            f"configuration lengths {len(v)}, {len(w)} do not match degree {g.n}"
-        )
+    check_configuration(g, v, w)
     fixed = g.moved_mask().translate(_FIXED)
     if counter is not None:
         counter.add_word_ops(g.n)
@@ -117,5 +114,5 @@ def decide_orbit(
         return NOT_IN_ORBIT
     answer = OrbitAnswer(True, solutions)
     if apply_power(g, answer.witness, v) != w:
-        raise RuntimeError(f"witness r={answer.witness} does not carry v to w")
+        raise RuntimeError(f"witness r={clip(answer.witness)} does not carry v to w")
     return answer

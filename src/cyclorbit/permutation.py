@@ -7,10 +7,12 @@ of g(x) holds the symbol x had at position j.  Restricted to one cycle
 shift of the projected string, which is what the whole reduction to
 congruences rests on.
 
-A permutation's indices are checked once, by one pass over all its cycles
-when it is built; parse_permutation reads whitespace-free cycle notation
-with the json module and leaves the rest, and every error, to a token
-scanner that keeps its own checks.
+Each input invariant has one check.  A Permutation is immutable, and its
+indices, which must be ints (operator.index), are checked once, by one
+pass over all its cycles when it is built; check_configuration is the one
+length check of a configuration against the degree.  parse_permutation
+reads whitespace-free cycle notation with the json module and leaves the
+rest, and every error, to a token scanner that keeps its own checks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import dataclass
+from operator import index
 
 from .congruence import clip, decimal, parse_int
 
@@ -53,6 +57,7 @@ class Cycle(tuple):
         return "(" + ",".join(map(decimal, self)) + ")"
 
 
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of [1, n] given as a product of pairwise disjoint cycles.
 
@@ -60,13 +65,14 @@ class Permutation:
     fixed points, as does every index not mentioned at all.
     """
 
-    __slots__ = ("n", "cycles")
+    n: int
+    cycles: tuple[Cycle, ...] = ()
 
-    def __init__(self, n: int, cycles=()):
-        if n < 1:
-            raise ValueError(f"degree must be >= 1, got {clip(n)}")
-        self.n = n
-        self.cycles = tuple(c for c in _checked_cycles(cycles, n) if len(c) >= 2)
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"degree must be >= 1, got {clip(self.n)}")
+        cycles = tuple(c for c in _checked_cycles(self.cycles, self.n) if len(c) >= 2)
+        object.__setattr__(self, "cycles", cycles)
 
     @classmethod
     def from_mapping(cls, mapping) -> Permutation:
@@ -90,26 +96,19 @@ class Permutation:
                 mask[e - 1] = 1
         return mask
 
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.n == other.n and self.cycles == other.cycles
-
-    def __hash__(self):
-        return hash((self.n, self.cycles))
-
     def __repr__(self):
         return f"Permutation({decimal(self.n)}, {''.join(map(repr, self.cycles))!r})"
 
 
 def _checked_cycles(cycles, n=math.inf) -> list[Cycle]:
     """Each cycle as a Cycle of ints, after one pass over all cycles that
-    checks each index once: no cycle empty, every index in [1, n], none used
+    checks each index once: an int (operator.index, so a float or a string
+    raises TypeError), no cycle empty, every index in [1, n], none used
     twice.  The ValueError names the first bad index in cycle order."""
     out = []
     seen = set()
     for c in cycles:
-        elems = tuple.__new__(Cycle, map(int, c))  # the one place a Cycle is made
+        elems = tuple.__new__(Cycle, map(index, c))  # the one place a Cycle is made
         if not elems:
             raise ValueError("a cycle needs at least one element")
         out.append(elems)
@@ -161,10 +160,16 @@ def order(g: Permutation) -> int:
     return math.lcm(*(len(c) for c in g.cycles))
 
 
+def check_configuration(g: Permutation, *configurations: Configuration) -> None:
+    """Raise ValueError naming the first configuration whose length is not g's degree."""
+    for v in configurations:
+        if len(v) != g.n:
+            raise ValueError(f"configuration length {len(v)} does not match degree {clip(g.n)}")
+
+
 def apply(g: Permutation, v: Configuration) -> Configuration:
     """One application of g to v."""
-    if len(v) != g.n:
-        raise ValueError(f"configuration length {len(v)} does not match degree {clip(g.n)}")
+    check_configuration(g, v)
     out = list(v)
     for e in g.cycles:
         k = len(e)
@@ -177,8 +182,7 @@ def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
     """g^r v computed in one pass: each cycle's projection is right-shifted r mod k times."""
     if r < 0:
         raise ValueError(f"exponent must be >= 0, got {clip(r)}")
-    if len(v) != g.n:
-        raise ValueError(f"configuration length {len(v)} does not match degree {clip(g.n)}")
+    check_configuration(g, v)
     out = list(v)
     for e in g.cycles:
         k = len(e)
@@ -300,7 +304,7 @@ def primorial_permutation(i: int) -> Permutation:
     the order is their product, which grows exponentially in the degree.
     """
     if i < 1:
-        raise ValueError(f"need i >= 1, got {i}")
+        raise ValueError(f"need i >= 1, got {clip(i)}")
     cycles = []
     lo = 1
     for p in first_primes(i):

@@ -238,11 +238,13 @@ def test_fuzzed_instances_never_crash(tmp_path, capsys):
     pieces = ["n", "alphabet", "perm", "v", "w", "(", ")", ",", "1", "2", "0",
               "01", "mod", "#", " ", "\n", "(1,2)", "abc", "-3", "9" * 40,
               ")(", "(01,2)", "[", "]", "1e3", "9" * 5000]
+    solved = {}  # path -> exit code of solve, for the oracle to match
     for trial in range(300):
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 40)))
         path = write(tmp_path, f"fuzz_{trial}.txt", text)
         code = main(["solve", path])
         assert code in (EXIT_YES, EXIT_NO, EXIT_INPUT)
+        solved[path] = code
         capsys.readouterr()
     # perm lines in an otherwise valid instance, so that they reach
     # parse_permutation; most are only digits, parentheses and commas
@@ -252,8 +254,14 @@ def test_fuzzed_instances_never_crash(tmp_path, capsys):
         perm = "".join(rng.choice(notation if rng.random() < 0.9 else pieces)
                        for _ in range(rng.randrange(0, 10)))
         text = f"n 12\nalphabet 01\nperm ({perm})\nv {'01' * 6}\nw {'10' * 6}\n"
-        code = main(["solve", write(tmp_path, f"fuzz_perm_{trial}.txt", text)])
+        path = write(tmp_path, f"fuzz_perm_{trial}.txt", text)
+        code = main(["solve", path])
         assert code in (EXIT_YES, EXIT_NO, EXIT_INPUT)
+        solved[path] = code
+        capsys.readouterr()
+    # the oracle reads the same texts: it refuses with its own code or agrees
+    for path, code in solved.items():
+        assert main(["oracle", path]) in (code, EXIT_BOUND)
         capsys.readouterr()
     for trial in range(100):
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 30)))

@@ -9,13 +9,18 @@ from cyclorbit import (
     CongruenceSystem,
     CostCounter,
     Permutation,
+    StirlingTable,
     SystemFormatError,
     apply,
     apply_power,
+    brute_force_orbit,
     extended_gcd,
     factorize,
     naive_intersection,
+    primorial_permutation,
     progression,
+    reduce,
+    run_primorial_scaling,
     solve_linear_congruence,
     solve_system,
 )
@@ -75,6 +80,17 @@ def test_system_from_text_errors():
         with pytest.raises(SystemFormatError) as exc:
             CongruenceSystem.from_text(text)
         assert exc.value.line == line, text
+
+
+def test_system_from_text_echoes_the_parsed_integers():
+    # text and tuples share one equation check, so both word an error alike
+    for text, message in [
+        ("05 mod 3", "line 1: residue 5 not in [0, 3)"),
+        ("1 mod 2\n0 mod -0", "line 2: modulus must be >= 1, got 0"),
+    ]:
+        with pytest.raises(SystemFormatError) as exc:
+            CongruenceSystem.from_text(text)
+        assert str(exc.value) == message
 
 
 @given(st.integers(0, 10**9), st.integers(0, 10**9))
@@ -214,6 +230,15 @@ HUGE = -(10**5000)  # past the 4300-digit limit for int-to-str conversion
                      id="solve_linear_congruence"),
         pytest.param(lambda: naive_intersection(CongruenceSystem(((0, -HUGE),))), "lcm ",
                      id="naive_intersection"),
+        pytest.param(lambda: reduce(Permutation(-HUGE), "ab", "ab"),
+                     "configuration length 2 does not match degree ", id="reduce"),
+        pytest.param(lambda: brute_force_orbit(Permutation(-HUGE), "ab", "ab"),
+                     "configuration lengths 2, 2 do not match degree ", id="brute_force_orbit"),
+        pytest.param(lambda: primorial_permutation(HUGE), "need i >= 1, got ",
+                     id="primorial_permutation"),
+        pytest.param(lambda: StirlingTable(HUGE), "n_max must be >= 0, got ", id="StirlingTable"),
+        pytest.param(lambda: run_primorial_scaling(HUGE), "need i_max >= 1, got ",
+                     id="run_primorial_scaling"),
     ],
 )
 def test_error_messages_clip_huge_values(call, words):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cyclorbit import (
@@ -59,6 +61,18 @@ def test_order_bound():
     with pytest.raises(OrderBoundExceeded):
         brute_force_orbit(small, "0" * small.n, "0" * small.n, bound=29)
     assert brute_force_orbit(small, "0" * small.n, "0" * small.n, bound=30).in_orbit
+    # an order with more digits than the lowest limit allows is named by its
+    # bit length, so the refusal stays an OrderBoundExceeded
+    g = primorial_permutation(242)
+    v = "0" * g.n
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(OrderBoundExceeded) as exc:
+            brute_force_orbit(g, v, v, bound=10)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(exc.value) == "order <2142-bit integer> exceeds the bound 10"
 
 
 def test_length_mismatch():

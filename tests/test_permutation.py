@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import math
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,28 @@ def test_constructor_errors_name_one_clipped_index():
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == message
+
+
+def test_indices_must_be_ints():
+    # operator.index: a float, a string or a Decimal is refused, never rounded
+    for make in [
+        lambda: Permutation(3, [(1.9, 2, 3.2)]),
+        lambda: Cycle(("1", "2")),
+        lambda: Cycle([2.0, 3]),
+        lambda: Permutation(3, [(Decimal(1), 2)]),
+    ]:
+        with pytest.raises(TypeError):
+            make()
+    assert Permutation(3, [(True, 2)]).cycles == ((1, 2),)
+
+
+def test_permutation_is_frozen():
+    g = Permutation(3, [(1, 2)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.cycles = ((1, 2, 3),)
+    assert g == Permutation(3, cycles=[(1, 2)]) and hash(g) == hash(Permutation(3, [(1, 2)]))
 
 
 def test_huge_valid_permutation_cannot_be_printed():
