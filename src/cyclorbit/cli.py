@@ -18,7 +18,7 @@ from .analysis import (
     verify_moment_identities,
 )
 from .bench import ratio_band, run_primorial_scaling
-from .congruence import CongruenceSystem, clip, parse_int, solve_system
+from .congruence import CongruenceSystem, clip, content_lines, parse_int, solve_system
 from .crt_solver import CrtStats, decide_solvable
 from .oracle import OrderBoundExceeded, brute_force_orbit
 from .orbit import decide_orbit
@@ -52,10 +52,7 @@ def parse_instance_text(text: str) -> Instance:
     """
     fields: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         key, _, value = line.partition(" ")
         if key not in ("n", "alphabet", "perm", "v", "w"):
             raise InstanceError(f"line {lineno}: unknown key {clip(repr(key))}")

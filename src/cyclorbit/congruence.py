@@ -133,6 +133,15 @@ def parse_int(token: str, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {clip(repr(token))}")
 
 
+def content_lines(text: str):
+    """(1-based line number, stripped line) for each line of text that is
+    neither blank nor a # comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 class SystemFormatError(ValueError):
     """Malformed congruence-system text; line is 1-based."""
 
@@ -172,10 +181,7 @@ class CongruenceSystem:
     def from_text(cls, text: str) -> "CongruenceSystem":
         """Parse lines of the form "a mod b"; blank lines and # comments are skipped."""
         eqs = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(text):
             parts = line.split()
             if len(parts) != 3 or parts[1] != "mod":
                 raise SystemFormatError(
@@ -195,10 +201,12 @@ class CongruenceSystem:
 
 
 def extended_gcd(a: int, b: int, counter: CostCounter | None = None):
-    """(g, x, y) with a*x + b*y == g == gcd(a, b), for a, b >= 0."""
+    """(g, x) with g == gcd(a, b) and a*x = g (mod b), for a, b >= 0.
+
+    Only the cofactor of a is carried: the one of b is never read.
+    """
     old_r, r = a, b
     old_s, s = 1, 0
-    old_t, t = 0, 1
     while r:
         if counter is not None:
             counter.charge(old_r, r)
@@ -206,10 +214,8 @@ def extended_gcd(a: int, b: int, counter: CostCounter | None = None):
         old_r, r = r, old_r - q * r
         if counter is not None:
             counter.charge(q, old_s, s)
-            counter.charge(q, old_t, t)
         old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    return old_r, old_s
 
 
 def solve_linear_congruence(
@@ -224,7 +230,7 @@ def solve_linear_congruence(
         counter.charge(b, n)
     a_red = a % n
     b_red = b % n
-    d, x, _ = extended_gcd(a_red, n, counter)
+    d, x = extended_gcd(a_red, n, counter)
     if counter is not None:
         counter.charge(b_red, d)
     if b_red % d != 0:

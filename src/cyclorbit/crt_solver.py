@@ -32,10 +32,6 @@ class PowerEquation:
     exponent: int
     residue: int
 
-    @property
-    def modulus(self) -> int:
-        return self.base**self.exponent
-
     def __str__(self):
         return f"{self.residue} mod {self.base}^{self.exponent}"
 
@@ -57,15 +53,11 @@ class CrtStats:
     bit_ops: int = 0
     per_atom: list[tuple[PowerEquation, int]] = field(default_factory=list)
 
-    def charge_compare(self, x: int, y: int) -> int:
-        cost = min(x.bit_length(), y.bit_length()) + 1
-        self.bit_ops += cost
-        return cost
+    def charge_compare(self, x: int, y: int) -> None:
+        self.bit_ops += min(x.bit_length(), y.bit_length()) + 1
 
-    def charge_mod(self, x: int, m: int) -> int:
-        cost = (x.bit_length() + 1) * (m.bit_length() + 1)
-        self.bit_ops += cost
-        return cost
+    def charge_mod(self, x: int, m: int) -> None:
+        self.bit_ops += (x.bit_length() + 1) * (m.bit_length() + 1)
 
 
 def _coprime_pair(x: int, y: int, stats: CrtStats) -> list[tuple[int, int, int]]:
@@ -142,12 +134,13 @@ def factorize(
         pieces = _coprime_pair(part, y, stats)
         # the pieces y does not use make up the rest of b, coprime to y
         rest = prod(q**i for q, i, c in pieces if not c)
-        if (y, 1) not in [(q, c) for q, _, c in pieces]:
-            held = levels.pop(y)
-            z = held[-1] if held else 0
-            for q, _, c in pieces:
-                if c:  # z mod y^e holds z mod q^(c*e)
-                    levels[q] = _refresh_levels(q, z, c * len(held), stats)
+        # y is split: were it a piece, the others would be coprime to it, so
+        # gcd(rest, y) == 1 and the power-of-y case above would have taken b
+        held = levels.pop(y)
+        z = held[-1] if held else 0
+        for q, _, c in pieces:
+            if c:  # z mod y^e holds z mod q^(c*e)
+                levels[q] = _refresh_levels(q, z, c * len(held), stats)
         pairs.extend((q, i) for q, i, c in pieces if i and c)
     if rest > 1:
         levels[rest] = []

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import cyclorbit
-from cyclorbit import OrbitAnswer, progression
+from cyclorbit import OrbitAnswer, Permutation, apply_power, format_permutation, progression
 from cyclorbit.cli import (
     EXIT_BOUND,
     EXIT_INPUT,
@@ -51,6 +51,9 @@ def test_parse_instance_errors():
         ("n 2\nalphabet 01\nperm \nv 0x\nw 01\n", "position 1"),
         ("n 2\nalphabet 01\nperm \nv 01\nw 01\nv 10\n", "duplicate"),
         ("bogus 3\n", "unknown key"),
+        ("n 0\nalphabet 01\nperm \nv \nw \n", "line 1: n must be >= 1, got 0"),
+        ("n 2\nalphabet \nperm \nv 01\nw 01\n", "line 2: alphabet is empty"),
+        (f"n -{'9' * 5000}\nalphabet 01\nperm \nv 01\nw 01\n", "line 1: n has 5000 digits"),
     ]
     for text, fragment in cases:
         with pytest.raises(InstanceError) as exc:
@@ -263,6 +266,30 @@ def test_fuzzed_instances_never_crash(tmp_path, capsys):
     for path, code in solved.items():
         assert main(["oracle", path]) in (code, EXIT_BOUND)
         capsys.readouterr()
+    # valid instances, so that the oracle answers as well as refuses: w is
+    # g^r v, or v with one symbol flipped (never in the orbit); about one
+    # in nine permutations of degree 40 has order past the bound of 1000
+    oracle_codes = set()
+    for trial in range(100):
+        n = 40 if trial % 2 else rng.randrange(1, 41)
+        images = list(range(n))
+        rng.shuffle(images)
+        g = Permutation.from_mapping(images)
+        v = "".join(rng.choice("01") for _ in range(n))
+        if rng.random() < 0.5:
+            w = apply_power(g, rng.randrange(1000), v)
+        else:
+            i = rng.randrange(n)
+            w = v[:i] + ("1" if v[i] == "0" else "0") + v[i + 1:]
+        text = f"n {n}\nalphabet 01\nperm {format_permutation(g)}\nv {v}\nw {w}\n"
+        path = write(tmp_path, f"valid_{trial}.txt", text)
+        code = main(["solve", path])
+        assert code in (EXIT_YES, EXIT_NO)
+        oracle_code = main(["oracle", "--bound", "1000", path])
+        assert oracle_code in (code, EXIT_BOUND)
+        oracle_codes.add(oracle_code)
+        capsys.readouterr()
+    assert oracle_codes == {EXIT_YES, EXIT_NO, EXIT_BOUND}
     for trial in range(100):
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 30)))
         path = write(tmp_path, f"fuzz_sys_{trial}.txt", text)

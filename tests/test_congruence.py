@@ -13,6 +13,7 @@ from cyclorbit import (
     SystemFormatError,
     apply,
     apply_power,
+    asymptotic_ratio_report,
     brute_force_orbit,
     extended_gcd,
     factorize,
@@ -21,6 +22,7 @@ from cyclorbit import (
     progression,
     reduce,
     run_primorial_scaling,
+    run_random_scaling,
     solve_linear_congruence,
     solve_system,
 )
@@ -95,9 +97,13 @@ def test_system_from_text_echoes_the_parsed_integers():
 
 @given(st.integers(0, 10**9), st.integers(0, 10**9))
 def test_extended_gcd(a, b):
-    g, x, y = extended_gcd(a, b)
+    g, x = extended_gcd(a, b)
     assert g == math.gcd(a, b)
-    assert a * x + b * y == g
+    # such an x gives a*x + b*y == g for some y
+    if b:
+        assert (a * x - g) % b == 0
+    else:
+        assert x == 1
 
 
 def test_solve_linear_congruence_known_cases():
@@ -203,6 +209,7 @@ def test_solver_cost_scales_with_operand_width():
     assert not solve_system(wide).is_empty
     assert c_wide.max_bits > 200
     assert c_wide.word_ops > c_small.word_ops
+    assert c_small.word_ops == 43  # only the cofactor the fold reads is charged
 
 
 HUGE = -(10**5000)  # past the 4300-digit limit for int-to-str conversion
@@ -239,6 +246,11 @@ HUGE = -(10**5000)  # past the 4300-digit limit for int-to-str conversion
         pytest.param(lambda: StirlingTable(HUGE), "n_max must be >= 0, got ", id="StirlingTable"),
         pytest.param(lambda: run_primorial_scaling(HUGE), "need i_max >= 1, got ",
                      id="run_primorial_scaling"),
+        pytest.param(lambda: run_random_scaling(repeats=HUGE), "need repeats >= 1, got ",
+                     id="run_random_scaling"),
+        pytest.param(lambda: StirlingTable(1).row(HUGE), "n=", id="StirlingTable.row"),
+        pytest.param(lambda: asymptotic_ratio_report(HUGE), "n_max must be >= 2, got ",
+                     id="asymptotic_ratio_report"),
     ],
 )
 def test_error_messages_clip_huge_values(call, words):

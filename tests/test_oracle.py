@@ -79,6 +79,8 @@ def test_length_mismatch():
     g = Permutation(3, [(1, 2)])
     with pytest.raises(ValueError):
         brute_force_orbit(g, "01", "010")
+    with pytest.raises(ValueError, match="configuration length does not match the mapping"):
+        oracle.orbit_scan([1, 0], [0], [0, 1], 2)
 
 
 def test_brute_force_mixed_alphabet():

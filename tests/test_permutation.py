@@ -378,6 +378,8 @@ def test_order_is_lcm_of_cycle_lengths(g):
 def test_first_primes():
     assert first_primes(8) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert first_primes(0) == []
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        first_primes(-1)
 
 
 def test_primorial_family():
