@@ -51,6 +51,7 @@ from .bench import (
     run_random_scaling,
 )
 from .crt_solver import (
+    CoprimeBase,
     CrtStats,
     PowerEquation,
     decide_solvable,
@@ -76,6 +77,7 @@ __all__ = [
     "ArithmeticProgression",
     "Configuration",
     "CongruenceSystem",
+    "CoprimeBase",
     "CostCounter",
     "CrtStats",
     "Cycle",

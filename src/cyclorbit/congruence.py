@@ -158,6 +158,16 @@ def _check_equation(a: int, b: int) -> None:
         raise ValueError(f"residue {clip(a)} not in [0, {clip(b)})")
 
 
+def _report_first_bad_equation(text: str, eqs: list[tuple[int, int]]) -> None:
+    """Raise SystemFormatError for the first of eqs, parsed in order from the
+    content lines of text, that fails its check; return if none does."""
+    for (lineno, _), (a, b) in zip(content_lines(text), eqs):
+        try:
+            _check_equation(a, b)
+        except ValueError as exc:
+            raise SystemFormatError(str(exc), lineno) from None
+
+
 @dataclass(frozen=True)
 class CongruenceSystem:
     """A conjunction of congruences x = a_i (mod b_i), each with 0 <= a_i < b_i."""
@@ -179,22 +189,28 @@ class CongruenceSystem:
 
     @classmethod
     def from_text(cls, text: str) -> "CongruenceSystem":
-        """Parse lines of the form "a mod b"; blank lines and # comments are skipped."""
+        """Parse lines of the form "a mod b"; blank lines and # comments are skipped.
+
+        The parse loop only parses and the constructor makes the one check
+        of each equation.  Every error names the first bad line: before a
+        line that does not parse is reported, the equations above it are
+        checked.
+        """
         eqs = []
         for lineno, line in content_lines(text):
             parts = line.split()
-            if len(parts) != 3 or parts[1] != "mod":
-                raise SystemFormatError(
-                    f"expected 'a mod b', got {clip(repr(line))}", lineno
-                )
             try:
-                a = parse_int(parts[0], "residue")
-                b = parse_int(parts[2], "modulus")
-                _check_equation(a, b)
+                if len(parts) != 3 or parts[1] != "mod":
+                    raise ValueError(f"expected 'a mod b', got {clip(repr(line))}")
+                eqs.append((parse_int(parts[0], "residue"), parse_int(parts[2], "modulus")))
             except ValueError as exc:
+                _report_first_bad_equation(text, eqs)
                 raise SystemFormatError(str(exc), lineno) from None
-            eqs.append((a, b))
-        return cls(tuple(eqs))
+        try:
+            return cls(tuple(eqs))
+        except ValueError:
+            _report_first_bad_equation(text, eqs)
+            raise
 
     def to_text(self) -> str:
         return "\n".join(f"{a} mod {b}" for a, b in self.equations)

@@ -14,12 +14,23 @@ polynomial in its own size, never in the size of what is already stored.
 Every step is charged to a CrtStats, a fresh one when the caller passes
 none.  This route only decides solvability; it does not produce the
 solution progression.
+
+The base keeps its keys in groups, each with the product of the keys it was
+given, the first step towards Bernstein's product trees.  Group invariant: a
+group's product has exactly the prime factors of the group's keys.  A key
+that splits leaves its pieces, which have its prime factors, in its group,
+and a new key multiplies the product of the group it joins, so no product is
+ever recomputed.  A modulus takes one gcd with each group's product and
+gcds with single keys only in the groups whose product shares a factor with
+it.  A new group is opened once the last holds about sqrt(K) of the K keys,
+so a modulus that meets one group costs O(sqrt K) gcds rather than O(K).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from itertools import count
+from math import gcd, isqrt, prod
 
 from .congruence import CongruenceSystem, clip
 
@@ -97,11 +108,68 @@ def _refresh_levels(q: int, z: int, e: int, stats: CrtStats) -> list[int]:
     return levels
 
 
+class CoprimeBase(dict):
+    """A coprime base: each key maps to its level table (see decide_solvable).
+
+    Keys enter and leave only through factorize.  Group i holds members[i],
+    which maps each of its keys to the key's rank, the order in which it
+    joined the base (so ranks follow the dict's order), and products[i], the
+    product of the keys the group was given.  product_bits is the sum of
+    bit_length() + 1 over the products, the width charged per modulus.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.products: list[int] = []
+        self.members: list[dict[int, int]] = []
+        self.product_bits = 0
+        self._ranks = count()
+
+    def hits(self, b: int, stats: CrtStats) -> list[tuple[int, int]]:
+        """(key, group) for each key sharing a factor with b, in the base's
+        order; each gcd taken is charged at its operands' widths."""
+        width = b.bit_length() + 1
+        stats.bit_ops += width * self.product_bits
+        found = []
+        for i, product in enumerate(self.products):
+            if gcd(b, product) > 1:
+                for y, rank in self.members[i].items():
+                    stats.bit_ops += width * (y.bit_length() + 1)
+                    if gcd(b, y) > 1:
+                        found.append((rank, y, i))
+        found.sort()
+        return [(y, i) for _, y, i in found]
+
+    def split(self, y: int, group: int, tables: dict[int, list[int]]) -> None:
+        """Replace the key y of the given group by the pieces in tables; they
+        have y's prime factors, so the group's product still covers them."""
+        del self[y]
+        members = self.members[group]
+        del members[y]
+        for q, table in tables.items():
+            self[q] = table
+            members[q] = next(self._ranks)
+
+    def add(self, q: int) -> None:
+        """Take q, coprime to every key, as a new key with an empty table."""
+        self[q] = []
+        if self.members and len(self.members[-1]) < isqrt(len(self)):
+            product = self.products.pop()
+            self.product_bits -= product.bit_length() + 1
+        else:
+            product = 1
+            self.members.append({})
+        product *= q
+        self.products.append(product)
+        self.product_bits += product.bit_length() + 1
+        self.members[-1][q] = next(self._ranks)
+
+
 def factorize(
-    b: int, levels: dict[int, list[int]], stats: CrtStats | None = None
+    b: int, levels: CoprimeBase, stats: CrtStats | None = None
 ) -> list[tuple[int, int]]:
-    """Take b into the coprime base whose keys are those of levels, and
-    return b's (key, exponent) pairs over the refined base; their product is b.
+    """Take b into the coprime base levels, and return b's (key, exponent)
+    pairs over the refined base; their product is b.
 
     Only keys sharing a factor with b change.  Such a key y = prod q^c is
     replaced by its pieces, and its table z mod y^e by z mod q^(c*e) for
@@ -114,12 +182,9 @@ def factorize(
         raise ValueError(f"modulus must be >= 1, got {clip(b)}")
     if b == 1:
         return []
-    # one gcd with every key, charged in one step
-    stats.bit_ops += (b.bit_length() + 1) * (sum(map(int.bit_length, levels)) + len(levels))
-    hits = [y for y in levels if gcd(b, y) > 1]
     pairs = []
     rest = b
-    for y in hits:
+    for y, group in levels.hits(b, stats):
         part = rest
         k = 0
         stats.charge_mod(rest, y)
@@ -136,19 +201,19 @@ def factorize(
         rest = prod(q**i for q, i, c in pieces if not c)
         # y is split: were it a piece, the others would be coprime to it, so
         # gcd(rest, y) == 1 and the power-of-y case above would have taken b
-        held = levels.pop(y)
+        held = levels[y]
         z = held[-1] if held else 0
-        for q, _, c in pieces:
-            if c:  # z mod y^e holds z mod q^(c*e)
-                levels[q] = _refresh_levels(q, z, c * len(held), stats)
+        # z mod y^e holds z mod q^(c*e)
+        levels.split(y, group, {q: _refresh_levels(q, z, c * len(held), stats)
+                                for q, _, c in pieces if c})
         pairs.extend((q, i) for q, i, c in pieces if i and c)
     if rest > 1:
-        levels[rest] = []
+        levels.add(rest)
         pairs.append((rest, 1))
     return pairs
 
 
-def _scan(system: CongruenceSystem, levels: dict[int, list[int]], stats: CrtStats) -> bool:
+def _scan(system: CongruenceSystem, levels: CoprimeBase, stats: CrtStats) -> bool:
     for a, b in system:
         for q, e_new in factorize(b, levels, stats):
             m = q**e_new
@@ -190,7 +255,7 @@ def decide_solvable(
     """
     if stats is None:
         stats = CrtStats()
-    levels: dict[int, list[int]] = {}
+    levels = CoprimeBase()
     solvable = _scan(system, levels, stats)
     stats.p_max = max(stats.p_max, max(levels, default=0))
     stats.e_max = max(stats.e_max, max(map(len, levels.values()), default=0))

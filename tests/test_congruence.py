@@ -7,6 +7,7 @@ from cyclorbit import (
     EMPTY,
     ArithmeticProgression,
     CongruenceSystem,
+    CoprimeBase,
     CostCounter,
     Permutation,
     StirlingTable,
@@ -78,6 +79,8 @@ def test_system_from_text_errors():
         ("1 mod 2\nx mod 3", 2),
         ("1 mod 2\n5 mod 3", 2),
         ("1 mod 0", 1),
+        # a range error comes before a later format error
+        ("1 mod 2\n5 mod 3\n1 mod 5\n1 modulo 7", 2),
     ]:
         with pytest.raises(SystemFormatError) as exc:
             CongruenceSystem.from_text(text)
@@ -230,7 +233,8 @@ HUGE = -(10**5000)  # past the 4300-digit limit for int-to-str conversion
         pytest.param(lambda: progression(0, HUGE), "period must be >= 1, got ", id="progression"),
         pytest.param(lambda: apply_power(Permutation(2, [(1, 2)]), HUGE, "ab"),
                      "exponent must be >= 0, got ", id="apply_power"),
-        pytest.param(lambda: factorize(HUGE, {}), "modulus must be >= 1, got ", id="factorize"),
+        pytest.param(lambda: factorize(HUGE, CoprimeBase()), "modulus must be >= 1, got ",
+                     id="factorize"),
         pytest.param(lambda: apply(Permutation(-HUGE), "ab"),
                      "configuration length 2 does not match degree ", id="apply"),
         pytest.param(lambda: solve_linear_congruence(1, 0, HUGE), "modulus must be >= 1, got ",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclorbit import (
     CongruenceSystem,
+    CoprimeBase,
     CrtStats,
     PowerEquation,
     decide_solvable,
@@ -83,6 +84,15 @@ def _next_prime(n):
     return n
 
 
+def _base(tables):
+    """A coprime base holding the given pairwise coprime keys with the given tables."""
+    levels = CoprimeBase()
+    for q, table in tables.items():
+        factorize(q, levels)
+        levels[q] = table
+    return levels
+
+
 def _check_base(levels, b, pairs):
     """pairs is b over the keys of levels, and those keys are a coprime base."""
     assert math.prod(q**e for q, e in pairs) == b
@@ -95,7 +105,7 @@ def _check_base(levels, b, pairs):
 
 
 def test_factorize_known():
-    levels = {}
+    levels = CoprimeBase()
     assert factorize(360, levels) == [(360, 1)]
     assert levels == {360: []}
     assert factorize(1, levels) == []
@@ -107,12 +117,12 @@ def test_factorize_known():
     assert factorize(3 * 97, levels) == [(3, 1), (97, 1)]
     assert levels == {2: [], 3: [], 5: [], 97: []}
     with pytest.raises(ValueError):
-        factorize(0, {})
+        factorize(0, CoprimeBase())
 
 
 def test_factorize_rewrites_split_tables():
     # 7 mod 360 is 7 mod 2^3 and 7 mod 45; the key 360 splits when 2 arrives
-    levels = {360: [7]}
+    levels = _base({360: [7]})
     assert factorize(2, levels) == [(2, 1)]
     assert levels == {2: [1, 3, 7], 45: [7]}
     # a key that comes back unchanged keeps its table object
@@ -120,11 +130,11 @@ def test_factorize_rewrites_split_tables():
     assert factorize(45**2 * 7, levels) == [(45, 2), (7, 1)]
     assert levels[45] is table and levels[7] == []
     # 4 = 2^2 splits into 2 with twice the levels: 3 mod 4 is 1 mod 2, 3 mod 4
-    levels = {4: [3]}
+    levels = _base({4: [3]})
     assert factorize(2, levels) == [(2, 1)]
     assert levels == {2: [1, 3]}
     # 23 mod 6^2 is 23 mod 2^2 and 23 mod 3^2: both new tables keep two levels
-    levels = {6: [5, 23]}
+    levels = _base({6: [5, 23]})
     assert factorize(4, levels) == [(2, 2)]
     assert levels == {2: [1, 3], 3: [2, 5]}
     assert not decide_solvable(CongruenceSystem(((5, 6), (23, 36), (1, 4))))
@@ -133,14 +143,14 @@ def test_factorize_rewrites_split_tables():
 
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
 def test_factorize_reconstructs(moduli):
-    levels = {}
+    levels = CoprimeBase()
     for b in moduli:
         _check_base(levels, b, factorize(b, levels))
 
 
 def test_split_equation_known():
     # the atoms of x = a (mod b) over the base are a mod q^e for b's pairs
-    levels = {}
+    levels = CoprimeBase()
     factorize(4, levels)
     factorize(9, levels)
     # 4 stays a key; 9 = 3^2 becomes 3
@@ -162,7 +172,7 @@ def test_split_equation_known():
 )
 def test_split_is_equivalent_to_original(earlier, eq):
     a, b = eq
-    levels = {}
+    levels = CoprimeBase()
     for m in earlier:
         factorize(m, levels)
     atoms = [(q**e, a % q**e) for q, e in factorize(b, levels)]
@@ -340,3 +350,74 @@ def test_refutation_stops_before_later_moduli(monkeypatch):
 
     monkeypatch.setattr(crt_solver, "factorize", small_only)
     assert not decide_solvable(CongruenceSystem(((1, 2), (0, 2), (0, M61))))
+
+
+def _flat_hits(levels, b):
+    """The keys sharing a factor with b, by one gcd with every key."""
+    return [y for y in levels if math.gcd(b, y) > 1]
+
+
+def _check_groups(levels):
+    """Every key sits in one group, ranked in the base's order, and each
+    group's product has exactly the prime factors of its keys."""
+    ranked = sorted((rank, y) for members in levels.members for y, rank in members.items())
+    assert [y for _, y in ranked] == list(levels)
+    for product, members in zip(levels.products, levels.members):
+        assert members
+        assert all(pow(product, y.bit_length(), y) == 0 for y in members)
+        assert pow(math.prod(members), product.bit_length(), product) == 0
+    assert levels.product_bits == sum(p.bit_length() + 1 for p in levels.products)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.builds(
+            lambda s, m: s * m,
+            st.sampled_from([1, 2, 3, 4, 6, 9, 10, 12, 15, 30]),
+            st.integers(1, 10**6 // 30),
+        ),
+        max_size=80,
+    )
+)
+def test_group_hits_match_flat_scan(moduli):
+    # moduli sharing small factors split keys that already sit in groups
+    levels = CoprimeBase()
+    for b in moduli:
+        flat = _flat_hits(levels, b)
+        assert [y for y, _ in levels.hits(b, CrtStats())] == flat
+        factorize(b, levels)
+        _check_groups(levels)
+
+
+def _odd_primes(count):
+    """The first count odd primes, by a sieve."""
+    limit = 50_000
+    sieve = bytearray([1]) * limit
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+    primes = [p for p in range(3, limit) if sieve[p]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+@pytest.mark.parametrize("factor", [1, 2], ids=["1 mod p", "1 mod 2p"])
+def test_key_search_gcds_grow_subquadratically(monkeypatch, factor):
+    # a key search that takes one gcd per key per line costs 16x the gcds on
+    # 4x the lines; groups of about sqrt(K) keys cost about 8x
+    calls = 0
+
+    def counted_gcd(x, y):
+        nonlocal calls
+        calls += 1
+        return math.gcd(x, y)
+
+    monkeypatch.setattr(crt_solver, "gcd", counted_gcd)
+    primes = _odd_primes(4000)
+    taken = []
+    for lines in (1000, 4000):
+        calls = 0
+        assert decide_solvable(CongruenceSystem(tuple((1, factor * p) for p in primes[:lines])))
+        taken.append(calls)
+    assert taken[1] <= 10 * taken[0], taken
