@@ -57,11 +57,19 @@ def instance_size_bits(g: Permutation, v: str, w: str, alphabet_size: int = 2) -
 def _random_orbit_instance(n: int, rng_seed: int, key: int):
     """(g, v, r, w): a uniform permutation g of [1, n], a uniform binary v, a
     uniform exponent r in [0, order(g)) and w = g^r v, drawn in that order
-    from one random.Random seeded with the string f"{rng_seed}/{key}"."""
+    from one random.Random seeded with the string f"{rng_seed}/{key}".
+    g is drawn as cycles: the cycle through a given point of a uniform
+    permutation of m points has length uniform on [1, m], so cutting the
+    shuffled points into such lengths, from the end, keeps g uniform."""
     rng = random.Random(f"{rng_seed}/{key}")
-    mapping = list(range(n))
-    rng.shuffle(mapping)
-    g = Permutation.from_mapping(mapping)
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    cycles = []
+    while points:
+        k = rng.randint(1, len(points))
+        cycles.append(points[-k:])
+        del points[-k:]
+    g = Permutation(n, cycles)
     v = format(rng.getrandbits(n), f"0{n}b")
     r = rng.randrange(order(g))
     return g, v, r, apply_power(g, r, v)

@@ -1,6 +1,7 @@
 """Brute-force ground truth for orbit questions.
 
-Walks g^0 v, g^1 v, ... through one full period and records every hit.
+Walks g^0 v, g^1 v, ... through one full period and records every hit,
+moving the symbols of v by a gather table that it builds from g's cycles.
 Quadratic and proud of it: shares no logic with the reduction, so agreement
 between the two is real evidence.
 """
@@ -26,20 +27,18 @@ def brute_force_cycle_solutions(vc: str, wc: str) -> tuple[int, ...]:
     return tuple(h for h in range(len(vc)) if rotate_right(vc, h) == wc)
 
 
-def orbit_scan(mapping, v, w, max_steps):
+def orbit_scan(g: Permutation, v: Configuration, w: Configuration, max_steps: int):
     """All r in [0, max_steps) with g^r v == w, stepping g once per candidate.
 
-    mapping is the 0-based image table of g; v and w are equal-length lists
-    of symbol codes.  The configuration is advanced incrementally, never
-    recomputed from scratch, so the scan costs O(n * max_steps).
+    v and w are configurations of g's degree.  The configuration is advanced
+    incrementally, never recomputed from scratch, so the scan costs
+    O(n * max_steps).
     """
-    n = len(mapping)
-    if len(v) != n or len(w) != n:
-        raise ValueError("configuration length does not match the mapping")
     # nxt[i] = cur[inv[i]]: position i of g(x) holds the symbol of x at g^-1(i)
-    inv = [0] * n
-    for j in range(n):
-        inv[mapping[j]] = j
+    inv = list(range(g.n))
+    for c in g.cycles:
+        for t, j in enumerate(c):
+            inv[j - 1] = c[t - 1] - 1  # g sends c[t - 1] to c[t]
     cur = list(v)
     tgt = list(w)
     hits = []
@@ -69,10 +68,7 @@ def brute_force_orbit(
     n_steps = order(g)
     if n_steps > bound:
         raise OrderBoundExceeded(f"order {clip(n_steps)} exceeds the bound {clip(bound)}")
-    codes = {ch: i for i, ch in enumerate(sorted(set(v) | set(w)))}
-    hits = orbit_scan(
-        g.mapping(), [codes[ch] for ch in v], [codes[ch] for ch in w], n_steps
-    )
+    hits = orbit_scan(g, v, w, n_steps)
     if not hits:
         return NOT_IN_ORBIT
     first = hits[0]

@@ -74,20 +74,6 @@ class Permutation:
         cycles = tuple(c for c in _checked_cycles(self.cycles, self.n) if len(c) >= 2)
         object.__setattr__(self, "cycles", cycles)
 
-    @classmethod
-    def from_mapping(cls, mapping) -> Permutation:
-        """The permutation of [1, len(mapping)] whose 0-based image table is mapping."""
-        return cls(len(mapping), [[j + 1 for j in c] for c in cycles_of_mapping(mapping)])
-
-    def mapping(self):
-        """0-based image table: mapping()[j] == g(j+1) - 1."""
-        image = list(range(self.n))
-        for e in self.cycles:
-            k = len(e)
-            for t in range(k):
-                image[e[t] - 1] = e[(t + 1) % k] - 1
-        return image
-
     def moved_mask(self):
         """bytearray of length n, entry j-1 set iff some cycle contains j."""
         mask = bytearray(self.n)

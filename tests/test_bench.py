@@ -1,5 +1,6 @@
 import os
 import subprocess
+from collections import Counter
 import sys
 from pathlib import Path
 
@@ -12,9 +13,10 @@ from cyclorbit import (
     instance_size_bits,
     ratio_band,
     run_primorial_scaling,
+    apply,
     run_random_scaling,
 )
-from cyclorbit.bench import ScalingReport, ScalingRow
+from cyclorbit.bench import ScalingReport, ScalingRow, _random_orbit_instance
 
 
 def test_instance_size_bits():
@@ -56,6 +58,17 @@ def test_random_scaling_smoke():
     assert [r.degree for r in report.rows] == [64, 128, 256]
     for r in report.rows:
         assert r.word_ops > 0 and r.max_bits > 0
+
+
+def test_random_permutations_are_uniform():
+    # 24,000 draws of degree 4, each permutation identified by where it sends
+    # the symbols of ABCD: every one of the 24 must come 1000 +- 150 times,
+    # about 4.8 standard deviations of a uniform draw
+    counts = Counter(
+        apply(_random_orbit_instance(4, 0, key)[0], "ABCD") for key in range(24_000)
+    )
+    assert len(counts) == 24
+    assert all(850 <= c <= 1150 for c in counts.values()), sorted(counts.values())
 
 
 def test_ratio_band_window():

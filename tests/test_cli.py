@@ -16,6 +16,7 @@ from cyclorbit.cli import (
     main,
     parse_instance_text,
 )
+from cyclorbit.permutation import cycles_of_mapping
 
 EXAMPLE = """\
 # the worked two-cycle instance
@@ -274,7 +275,7 @@ def test_fuzzed_instances_never_crash(tmp_path, capsys):
         n = 40 if trial % 2 else rng.randrange(1, 41)
         images = list(range(n))
         rng.shuffle(images)
-        g = Permutation.from_mapping(images)
+        g = Permutation(n, [[j + 1 for j in c] for c in cycles_of_mapping(images)])
         v = "".join(rng.choice("01") for _ in range(n))
         if rng.random() < 0.5:
             w = apply_power(g, rng.randrange(1000), v)

@@ -7,6 +7,7 @@ from cyclorbit import (
     ArithmeticProgression,
     OrbitAnswer,
     Permutation,
+    decide_orbit,
     parse_permutation,
     primorial_permutation,
 )
@@ -79,14 +80,24 @@ def test_length_mismatch():
     g = Permutation(3, [(1, 2)])
     with pytest.raises(ValueError):
         brute_force_orbit(g, "01", "010")
-    with pytest.raises(ValueError, match="configuration length does not match the mapping"):
-        oracle.orbit_scan([1, 0], [0], [0, 1], 2)
 
 
 def test_brute_force_mixed_alphabet():
     g = parse_permutation("(1,2,3)(4,5)", 6)
     answer = brute_force_orbit(g, "abcde1", "bcaed1")
     assert answer.in_orbit
+    # the oracle compares symbols as they are: a symbol outside the BMP and
+    # lone surrogates are symbols like any other
+    smile, hi, lo = "\U0001F600", "\ud800", "\udc00"
+    for v, w, in_orbit in [
+        ("a" + smile + "b" + hi + lo + "c", "b" + "a" + smile + lo + hi + "c", True),
+        ("a" + smile + "b" + hi + lo + "c", smile + "ab" + lo + hi + "c", False),
+        (hi + lo + hi + smile + smile + lo, hi + hi + lo + smile + smile + lo, True),
+        (hi + lo + hi + smile + lo + lo, hi + lo + hi + lo + smile + hi, False),
+    ]:
+        answer = brute_force_orbit(g, v, w)
+        assert answer.in_orbit is in_orbit, (v, w)
+        assert answer == decide_orbit(g, v, w), (v, w)
 
 
 def test_progression_check_raises(monkeypatch):

@@ -177,16 +177,6 @@ def test_identity():
     assert format_permutation(g) == ""
 
 
-def test_mapping_is_zero_based_image():
-    g = parse_permutation("(6,5,7,3,2,1)(4,8)", 8)
-    m = g.mapping()
-    # cycle notation sends each element to the next one
-    assert m[6 - 1] == 5 - 1
-    assert m[1 - 1] == 6 - 1
-    assert m[4 - 1] == 8 - 1
-    assert m[8 - 1] == 4 - 1
-
-
 def test_cycles_of_mapping_contract():
     assert cycles_of_mapping([1, 0, 2, 4, 3]) == [[0, 1], [3, 4]]
     assert cycles_of_mapping([0, 1, 2]) == []
@@ -197,14 +187,19 @@ def test_from_mapping_rejects_non_permutation():
     # [1, 1] used to walk 0 -> 1 -> 1 -> ... forever
     for mapping in ([1, 1], [0, 2]):
         with pytest.raises(ValueError, match="not a permutation"):
-            Permutation.from_mapping(mapping)
+            cycles_of_mapping(mapping)
 
 
 @given(permutations_st)
 def test_from_mapping_roundtrip(g):
-    h = Permutation.from_mapping(g.mapping())
-    assert h.n == g.n
-    assert h.mapping() == g.mapping()
+    # g's 0-based image table, built from its cycles, converts back to g
+    images = list(range(g.n))
+    for c in g.cycles:
+        for t, j in enumerate(c):
+            images[j - 1] = c[(t + 1) % len(c)] - 1
+    h = Permutation(g.n, [[j + 1 for j in c] for c in cycles_of_mapping(images)])
+    v = "".join(map(chr, range(65, 65 + g.n)))
+    assert apply(h, v) == apply(g, v)
     assert order(h) == order(g)
 
 
@@ -271,7 +266,7 @@ def test_parse_agrees_with_scanner(text, n):
 def test_parse_bulk_roundtrip(monkeypatch):
     mapping = list(range(10**5))
     random.Random(5).shuffle(mapping)
-    g = Permutation.from_mapping(mapping)
+    g = Permutation(len(mapping), [[j + 1 for j in c] for c in cycles_of_mapping(mapping)])
 
     def refuse(text, n):
         raise AssertionError("the scanner was called")
