@@ -1,7 +1,7 @@
 import os
 import subprocess
-from collections import Counter
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,10 +10,10 @@ import cyclorbit
 from cyclorbit import (
     EMPTY,
     Permutation,
+    apply,
     instance_size_bits,
     ratio_band,
     run_primorial_scaling,
-    apply,
     run_random_scaling,
 )
 from cyclorbit.bench import ScalingReport, ScalingRow, _random_orbit_instance
