@@ -18,7 +18,6 @@ from .congruence import (
     extended_gcd,
     naive_intersection,
     progression,
-    solve_linear_congruence,
     solve_system,
 )
 from .permutation import (
@@ -116,7 +115,6 @@ __all__ = [
     "rotation_exponents",
     "run_primorial_scaling",
     "run_random_scaling",
-    "solve_linear_congruence",
     "solve_system",
     "verify_moment_identities",
     "__version__",

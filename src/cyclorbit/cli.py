@@ -109,8 +109,11 @@ def load_instance(path: str) -> Instance:
 
 
 def _write_csv(path: str, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _print_answer(answer) -> None:

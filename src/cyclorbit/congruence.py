@@ -2,9 +2,10 @@
 
 The solution set of any conjunction of congruences x = a_i (mod b_i) is
 either empty or a single arithmetic progression a + bZ.  solve_system folds
-the equations into that form one at a time; each step solves one linear
-congruence via the extended Euclidean algorithm.  naive_intersection is the
-deliberately dumb oracle the solver is tested against.
+the equations into that form one at a time; each step is one call of the
+extended Euclidean algorithm and a shift of the running progression.
+naive_intersection is the deliberately dumb oracle the solver is tested
+against.
 """
 
 from __future__ import annotations
@@ -234,54 +235,41 @@ def extended_gcd(a: int, b: int, counter: CostCounter | None = None):
     return old_r, old_s
 
 
-def solve_linear_congruence(
-    a: int, b: int, n: int, counter: CostCounter | None = None
-) -> ArithmeticProgression:
-    """Solution set of a*x = b (mod n): empty unless gcd(a, n) divides b,
-    otherwise a progression with period n / gcd(a, n)."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {clip(n)}")
-    if counter is not None:
-        counter.charge(a, n)
-        counter.charge(b, n)
-    a_red = a % n
-    b_red = b % n
-    d, x = extended_gcd(a_red, n, counter)
-    if counter is not None:
-        counter.charge(b_red, d)
-    if b_red % d != 0:
-        return EMPTY
-    period = n // d
-    xq = x * (b_red // d)
-    if counter is not None:
-        counter.charge(n, d)
-        counter.charge(x, b_red // d)
-        counter.charge(xq, period)
-    return ArithmeticProgression(xq % period, period)
-
-
 def solve_system(
     system: CongruenceSystem, counter: CostCounter | None = None
 ) -> ArithmeticProgression:
     """Intersection of all a_i + b_i * Z, folding in one congruence at a time.
 
-    Starting from 0 + 1Z, each step intersects the running progression
-    a + bZ with the next equation by solving b*y = a_i - a (mod b_i) for
-    the shift y; an unsolvable step makes the whole system EMPTY.  The empty
-    system yields 0 + 1Z (every exponent).
+    system is a CongruenceSystem, whose constructor is the one check of
+    each equation; the fold checks none again.  Starting from 0 + 1Z, each
+    step intersects a + bZ with x = a_i (mod b_i): it takes
+    d, x = extended_gcd(b mod b_i, b_i) and c = (a_i - a) mod b_i, returns
+    EMPTY unless d divides c, and else moves to a + y*b + b*(b_i/d) Z with
+    y = x*(c/d) mod (b_i/d).  The empty system yields 0 + 1Z (every
+    exponent).
     """
     a, b = 0, 1
     for a_i, b_i in system:
+        d, x = extended_gcd(b % b_i, b_i, counter)
+        c = (a_i - a) % b_i
         if counter is not None:
             counter.charge(a_i, a)
-        step = solve_linear_congruence(b, a_i - a, b_i, counter)
-        if step.is_empty:
+            counter.charge(b, b_i)
+            counter.charge(a_i - a, b_i)
+            counter.charge(c, d)
+        if c % d:
             return EMPTY
+        period = b_i // d
+        xq = x * (c // d)
+        y = xq % period
         if counter is not None:
-            counter.charge(step.offset, b)
-            counter.charge(b, step.period)
-        a = step.offset * b + a
-        b = b * step.period
+            counter.charge(b_i, d)
+            counter.charge(x, c // d)
+            counter.charge(xq, period)
+            counter.charge(y, b)
+            counter.charge(b, period)
+        a += y * b
+        b *= period
         if counter is not None:
             counter.observe(a, b)
     return ArithmeticProgression(a, b)

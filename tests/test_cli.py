@@ -223,6 +223,10 @@ def test_bench_primorial_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("label,")
     assert len(lines) == 5
+    # a path that cannot be written is an input error, not a NO
+    assert main(["bench", "--mode", "primorial", "--max-i", "2",
+                 "--repeats", "1", "--csv", str(tmp_path)]) == EXIT_INPUT
+    assert f"error: cannot write {tmp_path}" in capsys.readouterr().err
 
 
 def test_bench_average_csv(tmp_path, capsys):
@@ -233,6 +237,9 @@ def test_bench_average_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "n,trial,k_cycles,word_ops,max_bits"
     assert len(lines) == 31
+    assert main(["bench", "--mode", "average", "--n", "5", "--trials", "2",
+                 "--csv", str(tmp_path)]) == EXIT_INPUT
+    assert f"error: cannot write {tmp_path}" in capsys.readouterr().err
 
 
 def test_fuzzed_instances_never_crash(tmp_path, capsys):

@@ -24,7 +24,6 @@ from cyclorbit import (
     reduce,
     run_primorial_scaling,
     run_random_scaling,
-    solve_linear_congruence,
     solve_system,
 )
 
@@ -109,28 +108,6 @@ def test_extended_gcd(a, b):
         assert x == 1
 
 
-def test_solve_linear_congruence_known_cases():
-    assert solve_linear_congruence(2, 1, 4) is EMPTY
-    assert solve_linear_congruence(1, 3, 5) == ArithmeticProgression(3, 5)
-    assert solve_linear_congruence(4, 2, 6) == ArithmeticProgression(2, 3)
-    assert solve_linear_congruence(0, 0, 7) == ArithmeticProgression(0, 1)
-    assert solve_linear_congruence(0, 3, 7) is EMPTY
-    with pytest.raises(ValueError):
-        solve_linear_congruence(1, 1, 0)
-
-
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 60))
-def test_solve_linear_congruence_matches_scan(a, b, n):
-    got = solve_linear_congruence(a, b, n)
-    truth = {x for x in range(n) if (a * x - b) % n == 0}
-    if got.is_empty:
-        assert truth == set()
-    else:
-        assert n % got.period == 0
-        assert {x for x in range(n) if x in got} == truth
-        assert got.offset == min(truth)
-
-
 def test_solve_system_known_cases():
     assert solve_system(CongruenceSystem(((1, 2), (1, 3)))) == ArithmeticProgression(1, 6)
     assert solve_system(CongruenceSystem(((2, 4), (0, 6)))) == ArithmeticProgression(6, 12)
@@ -139,6 +116,24 @@ def test_solve_system_known_cases():
     assert solve_system(CongruenceSystem(((0, 2), (1, 2)))) is EMPTY
     assert solve_system(CongruenceSystem(((1, 4), (3, 8)))) is EMPTY
     assert solve_system(CongruenceSystem(((1, 2), (1, 2)))) == ArithmeticProgression(1, 2)
+    # word_ops and max_bits are pinned, so any change to the fold's charges shows
+    wide_moduli = [2**89 - 1, 2**107 - 1, 2**127 - 1]
+    for eqs, answer, word_ops, max_bits in [
+        (((1, 6), (1, 3)), ArithmeticProgression(1, 6), 24, 3),  # b_i divides b
+        (((1, 6), (2, 3)), EMPTY, 19, 3),
+        (((1, 4), (3, 8)), EMPTY, 21, 4),
+        (((5, 9), (0, 1), (2, 4)), ArithmeticProgression(14, 36), 37, 6),
+        (tuple((1, m) for m in wide_moduli),
+         ArithmeticProgression(1, math.prod(wide_moduli)), 165, 323),
+    ]:
+        counter = CostCounter()
+        assert solve_system(CongruenceSystem(eqs), counter) == answer, eqs
+        assert (counter.word_ops, counter.max_bits) == (word_ops, max_bits), eqs
+
+
+@given(small_systems)
+def test_counted_fold_matches_uncounted(sys_):
+    assert solve_system(sys_, CostCounter()) == solve_system(sys_)
 
 
 @settings(max_examples=300)
@@ -237,8 +232,6 @@ HUGE = -(10**5000)  # past the 4300-digit limit for int-to-str conversion
                      id="factorize"),
         pytest.param(lambda: apply(Permutation(-HUGE), "ab"),
                      "configuration length 2 does not match degree ", id="apply"),
-        pytest.param(lambda: solve_linear_congruence(1, 0, HUGE), "modulus must be >= 1, got ",
-                     id="solve_linear_congruence"),
         pytest.param(lambda: naive_intersection(CongruenceSystem(((0, -HUGE),))), "lcm ",
                      id="naive_intersection"),
         pytest.param(lambda: reduce(Permutation(-HUGE), "ab", "ab"),
