@@ -46,6 +46,7 @@ from .analysis import (
 from .bench import (
     instance_size_bits,
     ratio_band,
+    run_primes_then_pairs_scaling,
     run_primorial_scaling,
     run_random_scaling,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "reduce",
     "rotate_right",
     "rotation_exponents",
+    "run_primes_then_pairs_scaling",
     "run_primorial_scaling",
     "run_random_scaling",
     "solve_system",

@@ -176,8 +176,9 @@ def measure_average_cost(n: int, trials: int, rng_seed: int) -> AverageCostStats
     Each trial draws a uniform permutation g of [n], a uniform binary v, a
     uniform exponent r in [0, order(g)), and sets w = g^r v, so the
     reduction always emits one equation per cycle and the congruence solver
-    always runs to completion.  Only the solver is costed; the string work
-    of the reduction is excluded so the numbers isolate the equation side.
+    always runs to completion, folding each repeated cycle modulus once.
+    Only the solver is costed; the string work of the reduction is excluded
+    so the numbers isolate the equation side.
     Trial t draws from its own random.Random seeded with f"{rng_seed}/{t}",
     so results do not depend on execution order.
     """

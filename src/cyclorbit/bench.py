@@ -105,6 +105,14 @@ def _measure_instance(g, v, w, label, r_star, repeats):
     )
 
 
+def _measure_planted(g, label, rng, repeats):
+    """The row of g with v marking each cycle's first index and w = g^r* v
+    for r* drawn uniformly from [0, order(g)) with rng."""
+    v = _mark_cycle_starts(g)
+    r_star = rng.randrange(order(g))
+    return _measure_instance(g, v, apply_power(g, r_star, v), label, r_star, repeats)
+
+
 def run_primorial_scaling(
     i_max: int, rng_seed: int = 0, repeats: int = 5
 ) -> ScalingReport:
@@ -119,14 +127,36 @@ def run_primorial_scaling(
     if repeats < 1:
         raise ValueError(f"need repeats >= 1, got {clip(repeats)}")
     rng = random.Random(rng_seed)
-    rows = []
-    for i in range(1, i_max + 1):
-        g = primorial_permutation(i)
-        v = _mark_cycle_starts(g)
-        r_star = rng.randrange(order(g))
-        w = apply_power(g, r_star, v)
-        rows.append(_measure_instance(g, v, w, f"i={i}", r_star, repeats))
+    rows = [
+        _measure_planted(primorial_permutation(i), f"i={i}", rng, repeats)
+        for i in range(1, i_max + 1)
+    ]
     return ScalingReport("primorial", rng_seed, repeats, rows)
+
+
+def run_primes_then_pairs_scaling(
+    i: int, ms=(0, 10**4, 10**5), rng_seed: int = 0, repeats: int = 1
+) -> ScalingReport:
+    """Decide one in-orbit instance per m in ms: the first i prime cycles
+    followed by m 2-cycles, in that order.
+
+    A fold that takes the cycles as listed carries a modulus as wide as the
+    group order through every 2-cycle, so this family shows whether the
+    counted cost depends on the cycle order.  v and r* are drawn as in
+    run_primorial_scaling.
+    """
+    if repeats < 1:
+        raise ValueError(f"need repeats >= 1, got {clip(repeats)}")
+    primes = primorial_permutation(i)
+    rng = random.Random(rng_seed)
+    rows = []
+    for m in ms:
+        if m < 0:
+            raise ValueError(f"need m >= 0, got {clip(m)}")
+        pairs = ((j, j + 1) for j in range(primes.n + 1, primes.n + 2 * m, 2))
+        g = Permutation(primes.n + 2 * m, (*primes.cycles, *pairs))
+        rows.append(_measure_planted(g, f"m={m}", rng, repeats))
+    return ScalingReport("primes-then-pairs", rng_seed, repeats, rows)
 
 
 def run_random_scaling(

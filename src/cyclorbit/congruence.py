@@ -1,9 +1,13 @@
 """Arithmetic progressions and solvers for systems of linear congruences.
 
 The solution set of any conjunction of congruences x = a_i (mod b_i) is
-either empty or a single arithmetic progression a + bZ.  solve_system folds
-the equations into that form one at a time; each step is one call of the
-extended Euclidean algorithm and a shift of the running progression.
+either empty or a single arithmetic progression a + bZ.  solve_system keeps
+one residue per distinct modulus, a repeated modulus with another residue
+being EMPTY at once, and folds the distinct moduli into that form in
+ascending order; each step is one call of the extended Euclidean algorithm
+and a shift of the running progression.  In that order the running modulus
+stays a divisor of lcm(1..b_i), so for an orbit system, whose distinct
+moduli sum to at most the degree, the fold is linear in the input.
 naive_intersection is the deliberately dumb oracle the solver is tested
 against.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import index
 
 WORD_BITS = 64
 
@@ -171,13 +176,19 @@ def _report_first_bad_equation(text: str, eqs: list[tuple[int, int]]) -> None:
 
 @dataclass(frozen=True)
 class CongruenceSystem:
-    """A conjunction of congruences x = a_i (mod b_i), each with 0 <= a_i < b_i."""
+    """A conjunction of congruences x = a_i (mod b_i), each with 0 <= a_i < b_i.
+
+    The equations are stored as read with operator.index, so a float or a
+    string raises TypeError.
+    """
 
     equations: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for a, b in self.equations:
+        equations = tuple((index(a), index(b)) for a, b in self.equations)
+        for a, b in equations:
             _check_equation(a, b)
+        object.__setattr__(self, "equations", equations)
 
     def __iter__(self):
         return iter(self.equations)
@@ -238,18 +249,41 @@ def extended_gcd(a: int, b: int, counter: CostCounter | None = None):
 def solve_system(
     system: CongruenceSystem, counter: CostCounter | None = None
 ) -> ArithmeticProgression:
-    """Intersection of all a_i + b_i * Z, folding in one congruence at a time.
+    """Intersection of all a_i + b_i * Z, folding in one distinct modulus at a time.
 
     system is a CongruenceSystem, whose constructor is the one check of
-    each equation; the fold checks none again.  Starting from 0 + 1Z, each
-    step intersects a + bZ with x = a_i (mod b_i): it takes
-    d, x = extended_gcd(b mod b_i, b_i) and c = (a_i - a) mod b_i, returns
-    EMPTY unless d divides c, and else moves to a + y*b + b*(b_i/d) Z with
-    y = x*(c/d) mod (b_i/d).  The empty system yields 0 + 1Z (every
-    exponent).
+    each equation; the fold checks none again.  A first pass keeps one
+    residue per modulus and returns EMPTY as soon as a modulus comes back
+    with another residue.  Then, starting from 0 + 1Z, each distinct
+    modulus in ascending order intersects a + bZ with x = a_i (mod b_i):
+    the step takes d, x = extended_gcd(b mod b_i, b_i) and
+    c = (a_i - a) mod b_i, returns EMPTY unless d divides c, and else moves
+    to a + y*b + b*(b_i/d) Z with y = x*(c/d) mod (b_i/d).  The empty
+    system yields 0 + 1Z (every exponent).
+
+    In ascending order the running modulus b stays a divisor of
+    lcm(1..b_i), whose logarithm is below 1.04*b_i (Rosser-Schoenfeld), and
+    the distinct moduli of an orbit system sum to at most the degree n, so
+    the fold of an orbit system costs O(n) word operations whatever the
+    order of its cycles.  The counter is charged one operation per equation
+    for the dedupe and D*ceil(log2(D+1)) comparisons for sorting the D
+    distinct moduli.
     """
-    a, b = 0, 1
+    residues = {}
     for a_i, b_i in system:
+        if counter is not None:
+            counter.charge(a_i, b_i)
+        if residues.setdefault(b_i, a_i) != a_i:
+            return EMPTY
+    moduli = sorted(residues)
+    if counter is not None:
+        comparisons = len(moduli).bit_length()
+        for b_i in moduli:
+            for _ in range(comparisons):
+                counter.charge(b_i)
+    a, b = 0, 1
+    for b_i in moduli:
+        a_i = residues[b_i]
         d, x = extended_gcd(b % b_i, b_i, counter)
         c = (a_i - a) % b_i
         if counter is not None:

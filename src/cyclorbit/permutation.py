@@ -8,11 +8,12 @@ shift of the projected string, which is what the whole reduction to
 congruences rests on.
 
 Each input invariant has one check.  A Permutation is immutable, and its
-indices, which must be ints (operator.index), are checked once, by one
-pass over all its cycles when it is built; check_configuration is the one
-length check of a configuration against the degree.  parse_permutation
-reads whitespace-free cycle notation with the json module and leaves the
-rest, and every error, to a token scanner that keeps its own checks.
+degree and indices, which must be ints (operator.index), are checked once
+when it is built, the indices by one pass over all its cycles;
+check_configuration is the one length check of a configuration against the
+degree.  parse_permutation reads whitespace-free cycle notation with the
+json module and leaves the rest, and every error, to a token scanner that
+keeps its own checks.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class Permutation:
     cycles: tuple[Cycle, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise ValueError(f"degree must be >= 1, got {clip(self.n)}")
         cycles = tuple(c for c in _checked_cycles(self.cycles, self.n) if len(c) >= 2)

@@ -13,6 +13,7 @@ from cyclorbit import (
     apply,
     instance_size_bits,
     ratio_band,
+    run_primes_then_pairs_scaling,
     run_primorial_scaling,
     run_random_scaling,
 )
@@ -51,6 +52,22 @@ def test_primorial_scaling_validation():
         run_primorial_scaling(0)
     with pytest.raises(ValueError):
         run_primorial_scaling(3, repeats=0)
+    with pytest.raises(ValueError):
+        run_primes_then_pairs_scaling(0)
+    with pytest.raises(ValueError):
+        run_primes_then_pairs_scaling(3, ms=(-1,))
+    with pytest.raises(ValueError):
+        run_primes_then_pairs_scaling(3, repeats=0)
+
+
+def test_fold_cost_does_not_depend_on_cycle_order():
+    # 200 prime cycles, then m 2-cycles: a fold in listed order carries a
+    # modulus as wide as the group order through every 2-cycle, and its
+    # ratio reads 0.345, 0.935, 2.656 over m = 0, 10^4, 10^5
+    report = run_primes_then_pairs_scaling(200, ms=(0, 10**4, 10**5), rng_seed=3)
+    assert [r.degree for r in report.rows] == [111_587, 131_587, 311_587]
+    lo, hi = ratio_band(report)
+    assert hi <= 3 * lo, [r.word_ops / r.input_size_bits for r in report.rows]
 
 
 def test_random_scaling_smoke():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +23,7 @@ from cyclorbit import (
     primorial_permutation,
     progression,
     reduce,
+    run_primes_then_pairs_scaling,
     run_primorial_scaling,
     run_random_scaling,
     solve_system,
@@ -71,6 +73,15 @@ def test_system_validation_and_text():
         CongruenceSystem(((0, 0),))
 
 
+def test_system_equations_must_be_ints():
+    # operator.index: a float, a string or a Decimal is refused, never rounded
+    for eqs in [((1, 3.0),), ((1.5, 3),), (("1", 3),), ((1, Decimal(3)),)]:
+        with pytest.raises(TypeError):
+            CongruenceSystem(eqs)
+    system = CongruenceSystem(((True, 2),))
+    assert system.equations == ((1, 2),) and type(system.equations[0][0]) is int
+
+
 def test_system_from_text_errors():
     for text, line in [
         ("1 mod", 1),
@@ -116,15 +127,26 @@ def test_solve_system_known_cases():
     assert solve_system(CongruenceSystem(((0, 2), (1, 2)))) is EMPTY
     assert solve_system(CongruenceSystem(((1, 4), (3, 8)))) is EMPTY
     assert solve_system(CongruenceSystem(((1, 2), (1, 2)))) == ArithmeticProgression(1, 2)
-    # word_ops and max_bits are pinned, so any change to the fold's charges shows
+    # word_ops and max_bits are pinned, so any change to the fold's charges shows.
+    # Each count is one dedupe charge per equation, D * D.bit_length() sort
+    # charges for D distinct moduli, and the steps over those in ascending
+    # order: 11, 13 or 15 for a step whose gcd takes one, two or three rounds
+    # on one-word operands.
     wide_moduli = [2**89 - 1, 2**107 - 1, 2**127 - 1]
     for eqs, answer, word_ops, max_bits in [
-        (((1, 6), (1, 3)), ArithmeticProgression(1, 6), 24, 3),  # b_i divides b
-        (((1, 6), (2, 3)), EMPTY, 19, 3),
-        (((1, 4), (3, 8)), EMPTY, 21, 4),
-        (((5, 9), (0, 1), (2, 4)), ArithmeticProgression(14, 36), 37, 6),
+        # 2 + 4, then 3 and 6: 13 + 13 (b divides b_i)
+        (((1, 6), (1, 3)), ArithmeticProgression(1, 6), 32, 3),
+        # 2 + 4, then 3: 13, and 6 stops at the EMPTY test after 4 gcd and 4 step charges
+        (((1, 6), (2, 3)), EMPTY, 27, 3),
+        # 2 + 4, then 4: 13, and 8 stops as 6 does above
+        (((1, 4), (3, 8)), EMPTY, 27, 4),
+        # 3 + 6, then 1: 11, 4: 13, 9: 15 (three gcd rounds)
+        (((5, 9), (0, 1), (2, 4)), ArithmeticProgression(14, 36), 48, 6),
+        # 6 + 12 over two-word moduli, then 165 for the three steps
         (tuple((1, m) for m in wide_moduli),
-         ArithmeticProgression(1, math.prod(wide_moduli)), 165, 323),
+         ArithmeticProgression(1, math.prod(wide_moduli)), 183, 323),
+        # a repeated modulus with another residue is refuted by the dedupe: 2
+        (((1, 6), (2, 6)), EMPTY, 2, 3),
     ]:
         counter = CostCounter()
         assert solve_system(CongruenceSystem(eqs), counter) == answer, eqs
@@ -134,6 +156,18 @@ def test_solve_system_known_cases():
 @given(small_systems)
 def test_counted_fold_matches_uncounted(sys_):
     assert solve_system(sys_, CostCounter()) == solve_system(sys_)
+
+
+@given(st.data())
+def test_fold_does_not_depend_on_equation_order(data):
+    sys_ = data.draw(small_systems)
+    shuffled = CongruenceSystem(tuple(data.draw(st.permutations(sys_.equations))))
+    counter, shuffled_counter = CostCounter(), CostCounter()
+    assert solve_system(shuffled, shuffled_counter) == solve_system(sys_, counter)
+    # the dedupe may stop at another equation only when a modulus has two residues
+    if len({b: a for a, b in sys_}) == len(set(sys_)):
+        assert (shuffled_counter.word_ops, shuffled_counter.max_bits) == (
+            counter.word_ops, counter.max_bits)
 
 
 @settings(max_examples=300)
@@ -207,7 +241,9 @@ def test_solver_cost_scales_with_operand_width():
     assert not solve_system(wide).is_empty
     assert c_wide.max_bits > 200
     assert c_wide.word_ops > c_small.word_ops
-    assert c_small.word_ops == 43  # only the cofactor the fold reads is charged
+    # 3 dedupe and 6 sort charges, then the 43 of the fold, which charges only
+    # the cofactor it reads
+    assert c_small.word_ops == 52
 
 
 HUGE = -(10**5000)  # past the 4300-digit limit for int-to-str conversion
@@ -243,6 +279,8 @@ HUGE = -(10**5000)  # past the 4300-digit limit for int-to-str conversion
         pytest.param(lambda: StirlingTable(HUGE), "n_max must be >= 0, got ", id="StirlingTable"),
         pytest.param(lambda: run_primorial_scaling(HUGE), "need i_max >= 1, got ",
                      id="run_primorial_scaling"),
+        pytest.param(lambda: run_primes_then_pairs_scaling(1, ms=(HUGE,)), "need m >= 0, got ",
+                     id="run_primes_then_pairs_scaling"),
         pytest.param(lambda: run_random_scaling(repeats=HUGE), "need repeats >= 1, got ",
                      id="run_random_scaling"),
         pytest.param(lambda: StirlingTable(1).row(HUGE), "n=", id="StirlingTable.row"),

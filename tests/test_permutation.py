@@ -92,16 +92,21 @@ def test_constructor_errors_name_one_clipped_index():
 
 
 def test_indices_must_be_ints():
-    # operator.index: a float, a string or a Decimal is refused, never rounded
+    # operator.index: a float, a string or a Decimal is refused, never rounded,
+    # as an index and as the degree
     for make in [
         lambda: Permutation(3, [(1.9, 2, 3.2)]),
         lambda: Cycle(("1", "2")),
         lambda: Cycle([2.0, 3]),
         lambda: Permutation(3, [(Decimal(1), 2)]),
+        lambda: Permutation(3.0, [(1, 2)]),
+        lambda: Permutation(Decimal(4), [(1, 2)]),
+        lambda: Permutation("3", [(1, 2)]),
     ]:
         with pytest.raises(TypeError):
             make()
     assert Permutation(3, [(True, 2)]).cycles == ((1, 2),)
+    assert type(Permutation(True).n) is int
 
 
 def test_permutation_is_frozen():
