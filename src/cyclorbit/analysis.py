@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bench import _random_orbit_instance
-from .congruence import CostCounter, clip, solve_system
+from .congruence import CostCounter, at_least, clip, solve_system
 from .orbit import reduce
 
 
@@ -28,8 +28,7 @@ class StirlingTable:
     """
 
     def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {clip(n_max)}")
+        n_max = at_least(n_max, 0, "n_max")
         rows = [[1]]
         for n in range(n_max):
             prev = rows[-1]
@@ -113,8 +112,7 @@ def verify_moment_identities(n_max: int) -> IdentityReport:
     Everything is exact rational arithmetic; any failure is recorded with
     both sides.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {clip(n_max)}")
+    n_max = at_least(n_max, 1, "n_max")
     table = StirlingTable(n_max + 1)
     harm = harmonic_values(n_max)
     report = IdentityReport(n_max=n_max, checked=0)
@@ -140,8 +138,7 @@ def verify_moment_identities(n_max: int) -> IdentityReport:
 
 def asymptotic_ratio_report(n_max: int) -> list[tuple[int, float]]:
     """(n, E[K^3] / ln(n)^3) for n in [2, n_max]; the ratio drifts toward 1 slowly."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {clip(n_max)}")
+    n_max = at_least(n_max, 2, "n_max")
     table = StirlingTable(n_max)
     out = []
     for n in range(2, n_max + 1):
@@ -182,8 +179,8 @@ def measure_average_cost(n: int, trials: int, rng_seed: int) -> AverageCostStats
     Trial t draws from its own random.Random seeded with f"{rng_seed}/{t}",
     so results do not depend on execution order.
     """
-    if n < 1 or trials < 1:
-        raise ValueError("need n >= 1 and trials >= 1")
+    n = at_least(n, 1, "n")
+    trials = at_least(trials, 1, "trials")
     rows = []
     for t in range(trials):
         g, v, r, w = _random_orbit_instance(n, rng_seed, t)

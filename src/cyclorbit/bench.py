@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import astuple, dataclass, fields
 
-from .congruence import CostCounter, clip
+from .congruence import CostCounter, at_least
 from .orbit import decide_orbit
 from .permutation import Permutation, apply_power, order, primorial_permutation
 
@@ -122,10 +122,8 @@ def run_primorial_scaling(
     uniform r* in [0, order(g)), so every run must rediscover a progression
     containing r*.
     """
-    if i_max < 1:
-        raise ValueError(f"need i_max >= 1, got {clip(i_max)}")
-    if repeats < 1:
-        raise ValueError(f"need repeats >= 1, got {clip(repeats)}")
+    i_max = at_least(i_max, 1, "i_max")
+    repeats = at_least(repeats, 1, "repeats")
     rng = random.Random(rng_seed)
     rows = [
         _measure_planted(primorial_permutation(i), f"i={i}", rng, repeats)
@@ -145,14 +143,12 @@ def run_primes_then_pairs_scaling(
     counted cost depends on the cycle order.  v and r* are drawn as in
     run_primorial_scaling.
     """
-    if repeats < 1:
-        raise ValueError(f"need repeats >= 1, got {clip(repeats)}")
+    repeats = at_least(repeats, 1, "repeats")
+    ms = [at_least(m, 0, "m") for m in ms]
     primes = primorial_permutation(i)
     rng = random.Random(rng_seed)
     rows = []
     for m in ms:
-        if m < 0:
-            raise ValueError(f"need m >= 0, got {clip(m)}")
         pairs = ((j, j + 1) for j in range(primes.n + 1, primes.n + 2 * m, 2))
         g = Permutation(primes.n + 2 * m, (*primes.cycles, *pairs))
         rows.append(_measure_planted(g, f"m={m}", rng, repeats))
@@ -165,8 +161,7 @@ def run_random_scaling(
     repeats: int = 3,
 ) -> ScalingReport:
     """Decide one in-orbit instance per size over uniform random permutations."""
-    if repeats < 1:
-        raise ValueError(f"need repeats >= 1, got {clip(repeats)}")
+    repeats = at_least(repeats, 1, "repeats")
     rows = []
     for idx, n in enumerate(sizes):
         g, v, r_star, w = _random_orbit_instance(n, rng_seed, idx)

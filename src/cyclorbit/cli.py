@@ -18,7 +18,7 @@ from .analysis import (
     verify_moment_identities,
 )
 from .bench import ratio_band, run_primorial_scaling
-from .congruence import CongruenceSystem, clip, content_lines, parse_int, solve_system
+from .congruence import CongruenceSystem, at_least, clip, content_lines, parse_int, solve_system
 from .crt_solver import CrtStats, decide_solvable
 from .oracle import OrderBoundExceeded, brute_force_orbit
 from .orbit import decide_orbit
@@ -64,11 +64,9 @@ def parse_instance_text(text: str) -> Instance:
         if key not in fields:
             raise InstanceError(f"missing key {key!r}")
     try:
-        n = parse_int(fields["n"], "n")
+        n = at_least(parse_int(fields["n"], "n"), 1, "n")
     except ValueError as exc:
         raise InstanceError(f"line {lines['n']}: {exc}") from None
-    if n < 1:
-        raise InstanceError(f"line {lines['n']}: n must be >= 1, got {clip(fields['n'])}")
     alphabet = fields["alphabet"]
     if not alphabet:
         raise InstanceError(f"line {lines['alphabet']}: alphabet is empty")

@@ -9,7 +9,9 @@ and a shift of the running progression.  In that order the running modulus
 stays a divisor of lcm(1..b_i), so for an orbit system, whose distinct
 moduli sum to at most the degree, the fold is linear in the input.
 naive_intersection is the deliberately dumb oracle the solver is tested
-against.
+against.  at_least reads every integer argument with a lower bound in the
+package: a float or a string raises TypeError, a value below the bound
+ValueError.
 """
 
 from __future__ import annotations
@@ -69,12 +71,9 @@ class ArithmeticProgression:
         if (self.offset is None) != (self.period is None):
             raise ValueError("offset and period must be both set or both None")
         if self.period is not None:
-            if self.period < 1:
-                raise ValueError(f"period must be >= 1, got {clip(self.period)}")
-            if not 0 <= self.offset < self.period:
-                raise ValueError(
-                    f"offset {clip(self.offset)} not in [0, {clip(self.period)})"
-                )
+            offset, period = _check_residue(self.offset, self.period, "offset", "period")
+            object.__setattr__(self, "offset", offset)
+            object.__setattr__(self, "period", period)
 
     @property
     def is_empty(self) -> bool:
@@ -96,8 +95,7 @@ EMPTY = ArithmeticProgression(None, None)
 
 def progression(offset: int, period: int) -> ArithmeticProgression:
     """The progression offset + period * Z with the offset reduced into [0, period)."""
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {clip(period)}")
+    period = at_least(period, 1, "period")
     return ArithmeticProgression(offset % period, period)
 
 
@@ -118,6 +116,15 @@ def clip(value) -> str:
     an int is written by decimal, so clip never raises on an int."""
     text = decimal(value) if isinstance(value, int) else str(value)
     return text if len(text) <= _CLIP else f"{text[:_CLIP]}... ({len(text)} characters)"
+
+
+def at_least(value, low: int, what: str) -> int:
+    """value read with operator.index, so a float or a string raises
+    TypeError; a ValueError that names what if it is below low."""
+    value = index(value)
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}, got {clip(value)}")
+    return value
 
 
 def parse_int(token: str, what: str) -> int:
@@ -156,12 +163,14 @@ class SystemFormatError(ValueError):
         self.line = line
 
 
-def _check_equation(a: int, b: int) -> None:
-    """The one check of an equation x = a (mod b): b >= 1 and 0 <= a < b."""
-    if b < 1:
-        raise ValueError(f"modulus must be >= 1, got {clip(b)}")
+def _check_residue(a, b, a_name: str, b_name: str) -> tuple[int, int]:
+    """(a, b) read with operator.index; the one check of a residue a modulo
+    b, which must be b >= 1 and 0 <= a < b."""
+    b = at_least(b, 1, b_name)
+    a = index(a)
     if not 0 <= a < b:
-        raise ValueError(f"residue {clip(a)} not in [0, {clip(b)})")
+        raise ValueError(f"{a_name} {clip(a)} not in [0, {clip(b)})")
+    return a, b
 
 
 def _report_first_bad_equation(text: str, eqs: list[tuple[int, int]]) -> None:
@@ -169,7 +178,7 @@ def _report_first_bad_equation(text: str, eqs: list[tuple[int, int]]) -> None:
     content lines of text, that fails its check; return if none does."""
     for (lineno, _), (a, b) in zip(content_lines(text), eqs):
         try:
-            _check_equation(a, b)
+            _check_residue(a, b, "residue", "modulus")
         except ValueError as exc:
             raise SystemFormatError(str(exc), lineno) from None
 
@@ -185,9 +194,9 @@ class CongruenceSystem:
     equations: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        equations = tuple((index(a), index(b)) for a, b in self.equations)
-        for a, b in equations:
-            _check_equation(a, b)
+        equations = tuple(
+            _check_residue(a, b, "residue", "modulus") for a, b in self.equations
+        )
         object.__setattr__(self, "equations", equations)
 
     def __iter__(self):

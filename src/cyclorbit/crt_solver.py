@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from math import gcd, isqrt, prod
 
-from .congruence import CongruenceSystem, clip
+from .congruence import CongruenceSystem, at_least
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,7 @@ def factorize(
     """
     if stats is None:
         stats = CrtStats()
-    if b < 1:
-        raise ValueError(f"modulus must be >= 1, got {clip(b)}")
+    b = at_least(b, 1, "modulus")
     if b == 1:
         return []
     pairs = []

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from operator import index
 
-from .congruence import clip, decimal, parse_int
+from .congruence import at_least, clip, decimal, parse_int
 
 Configuration = str
 
@@ -70,9 +70,7 @@ class Permutation:
     cycles: tuple[Cycle, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "n", index(self.n))
-        if self.n < 1:
-            raise ValueError(f"degree must be >= 1, got {clip(self.n)}")
+        object.__setattr__(self, "n", at_least(self.n, 1, "degree"))
         cycles = tuple(c for c in _checked_cycles(self.cycles, self.n) if len(c) >= 2)
         object.__setattr__(self, "cycles", cycles)
 
@@ -168,8 +166,7 @@ def apply(g: Permutation, v: Configuration) -> Configuration:
 
 def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
     """g^r v computed in one pass: each cycle's projection is right-shifted r mod k times."""
-    if r < 0:
-        raise ValueError(f"exponent must be >= 0, got {clip(r)}")
+    r = at_least(r, 0, "exponent")
     check_configuration(g, v)
     out = list(v)
     for e in g.cycles:
@@ -274,8 +271,7 @@ def _scan_permutation(text: str, n: int) -> Permutation:
 
 def first_primes(count: int) -> list[int]:
     """The first `count` primes, by trial division against the primes found so far."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    count = at_least(count, 0, "count")
     primes: list[int] = []
     cand = 2
     while len(primes) < count:
@@ -291,8 +287,7 @@ def primorial_permutation(i: int) -> Permutation:
     On degree 2 + 3 + ... + p_i; the cycle lengths are pairwise coprime, so
     the order is their product, which grows exponentially in the degree.
     """
-    if i < 1:
-        raise ValueError(f"need i >= 1, got {clip(i)}")
+    i = at_least(i, 1, "i")
     cycles = []
     lo = 1
     for p in first_primes(i):

@@ -1,5 +1,7 @@
 """Linear-time string matching and rotation-exponent sets for cycle projections."""
 
+from operator import index
+
 
 def kmp_search_count(text, pattern):
     """All 0-based occurrences of pattern in text, plus symbol comparisons spent.
@@ -47,6 +49,7 @@ def kmp_search_count(text, pattern):
 
 def rotate_right(s: str, r: int) -> str:
     """s cyclically shifted right r times (the last symbol wraps to the front)."""
+    r = index(r)
     if not s:
         return s
     r %= len(s)

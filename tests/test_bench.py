@@ -60,6 +60,14 @@ def test_primorial_scaling_validation():
         run_primes_then_pairs_scaling(3, repeats=0)
 
 
+def test_primes_then_pairs_reads_every_m_first(monkeypatch):
+    drawn = []
+    monkeypatch.setattr("cyclorbit.bench._measure_planted", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match=">= 0, got -1"):
+        run_primes_then_pairs_scaling(1, ms=(0, -1))
+    assert drawn == []
+
+
 def test_fold_cost_does_not_depend_on_cycle_order():
     # 200 prime cycles, then m 2-cycles: a fold in listed order carries a
     # modulus as wide as the group order through every 2-cycle, and its

@@ -19,14 +19,18 @@ from cyclorbit import (
     brute_force_orbit,
     extended_gcd,
     factorize,
+    first_primes,
+    measure_average_cost,
     naive_intersection,
     primorial_permutation,
     progression,
     reduce,
+    rotate_right,
     run_primes_then_pairs_scaling,
     run_primorial_scaling,
     run_random_scaling,
     solve_system,
+    verify_moment_identities,
 )
 
 small_systems = st.lists(
@@ -274,18 +278,25 @@ HUGE = -(10**5000)  # past the 4300-digit limit for int-to-str conversion
                      "configuration length 2 does not match degree ", id="reduce"),
         pytest.param(lambda: brute_force_orbit(Permutation(-HUGE), "ab", "ab"),
                      "configuration lengths 2, 2 do not match degree ", id="brute_force_orbit"),
-        pytest.param(lambda: primorial_permutation(HUGE), "need i >= 1, got ",
+        pytest.param(lambda: primorial_permutation(HUGE), "i must be >= 1, got ",
                      id="primorial_permutation"),
         pytest.param(lambda: StirlingTable(HUGE), "n_max must be >= 0, got ", id="StirlingTable"),
-        pytest.param(lambda: run_primorial_scaling(HUGE), "need i_max >= 1, got ",
+        pytest.param(lambda: run_primorial_scaling(HUGE), "i_max must be >= 1, got ",
                      id="run_primorial_scaling"),
-        pytest.param(lambda: run_primes_then_pairs_scaling(1, ms=(HUGE,)), "need m >= 0, got ",
+        pytest.param(lambda: run_primes_then_pairs_scaling(1, ms=(HUGE,)), "m must be >= 0, got ",
                      id="run_primes_then_pairs_scaling"),
-        pytest.param(lambda: run_random_scaling(repeats=HUGE), "need repeats >= 1, got ",
+        pytest.param(lambda: run_random_scaling(repeats=HUGE), "repeats must be >= 1, got ",
                      id="run_random_scaling"),
         pytest.param(lambda: StirlingTable(1).row(HUGE), "n=", id="StirlingTable.row"),
         pytest.param(lambda: asymptotic_ratio_report(HUGE), "n_max must be >= 2, got ",
                      id="asymptotic_ratio_report"),
+        pytest.param(lambda: first_primes(HUGE), "count must be >= 0, got ", id="first_primes"),
+        pytest.param(lambda: verify_moment_identities(HUGE), "n_max must be >= 1, got ",
+                     id="verify_moment_identities"),
+        pytest.param(lambda: measure_average_cost(HUGE, 1, 0), "n must be >= 1, got ",
+                     id="measure_average_cost-n"),
+        pytest.param(lambda: measure_average_cost(1, HUGE, 0), "trials must be >= 1, got ",
+                     id="measure_average_cost-trials"),
     ],
 )
 def test_error_messages_clip_huge_values(call, words):
@@ -294,3 +305,22 @@ def test_error_messages_clip_huge_values(call, words):
     message = str(info.value)
     assert message.startswith(words) and "bit integer" in message
     assert len(message) < 200
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ArithmeticProgression(0.5, 2), id="ArithmeticProgression"),
+        pytest.param(lambda: progression(1.0, 3.0), id="progression"),
+        pytest.param(lambda: first_primes(2.5), id="first_primes"),
+        pytest.param(lambda: primorial_permutation(2.5), id="primorial_permutation"),
+        # 3.0 is a whole turn of the 3-cycle, which skips the slice that
+        # would reject any other float shift
+        pytest.param(lambda: apply_power(Permutation(3, [(1, 2, 3)]), 3.0, "abc"),
+                     id="apply_power"),
+        pytest.param(lambda: rotate_right("abc", 3.0), id="rotate_right"),
+    ],
+)
+def test_float_arguments_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
