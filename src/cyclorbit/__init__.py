@@ -7,6 +7,13 @@ arithmetic progression (or empty).  The package bundles the reduction, two
 congruence solvers, brute-force oracles, scaling benchmarks on a family
 whose group order grows exponentially, and exact combinatorics for the
 average number of equations the reduction emits.
+
+__all__ is the public surface: the decision and its pieces (reduce,
+rotation_exponents, solve_system, decide_solvable), their oracles, the
+types they take and return, and the measurements.  The kernels and tables
+behind them (extended_gcd, factorize, CoprimeBase, StirlingTable, ...)
+are imported from their modules.  A checked argument of the wrong type
+raises TypeError, and one out of range ValueError.
 """
 
 from .congruence import (
@@ -15,19 +22,16 @@ from .congruence import (
     CongruenceSystem,
     CostCounter,
     SystemFormatError,
-    extended_gcd,
     naive_intersection,
     progression,
     solve_system,
 )
 from .permutation import (
-    Configuration,
     Cycle,
     CycleNotationError,
     Permutation,
     apply,
     apply_power,
-    first_primes,
     format_permutation,
     order,
     parse_permutation,
@@ -35,9 +39,6 @@ from .permutation import (
     project,
 )
 from .analysis import (
-    StirlingTable,
-    asymptotic_ratio_report,
-    cycle_count_moments,
     fit_polylog_exponent,
     harmonic_values,
     measure_average_cost,
@@ -50,18 +51,8 @@ from .bench import (
     run_primorial_scaling,
     run_random_scaling,
 )
-from .crt_solver import (
-    CoprimeBase,
-    CrtStats,
-    PowerEquation,
-    decide_solvable,
-    factorize,
-)
-from .oracle import (
-    OrderBoundExceeded,
-    brute_force_cycle_solutions,
-    brute_force_orbit,
-)
+from .crt_solver import CrtStats, decide_solvable
+from .oracle import OrderBoundExceeded, brute_force_orbit
 from .orbit import NOT_IN_ORBIT, OrbitAnswer, decide_orbit, reduce
 from .strmatch import rotate_right, rotation_exponents
 
@@ -75,9 +66,7 @@ __all__ = [
     "EMPTY",
     "NOT_IN_ORBIT",
     "ArithmeticProgression",
-    "Configuration",
     "CongruenceSystem",
-    "CoprimeBase",
     "CostCounter",
     "CrtStats",
     "Cycle",
@@ -85,20 +74,12 @@ __all__ = [
     "OrbitAnswer",
     "OrderBoundExceeded",
     "Permutation",
-    "PowerEquation",
-    "StirlingTable",
     "SystemFormatError",
     "apply",
     "apply_power",
-    "asymptotic_ratio_report",
-    "brute_force_cycle_solutions",
     "brute_force_orbit",
-    "cycle_count_moments",
     "decide_orbit",
     "decide_solvable",
-    "extended_gcd",
-    "factorize",
-    "first_primes",
     "fit_polylog_exponent",
     "format_permutation",
     "harmonic_values",

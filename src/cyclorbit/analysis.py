@@ -62,6 +62,7 @@ class HarmonicValues:
 
 
 def harmonic_values(n_max: int) -> HarmonicValues:
+    n_max = at_least(n_max, 0, "n_max")
     h1 = [Fraction(0)]
     h2 = [Fraction(0)]
     h3 = [Fraction(0)]

@@ -8,7 +8,6 @@ carry both numbers so the gap is visible in one table.
 
 from __future__ import annotations
 
-import math
 import random
 import statistics
 import time
@@ -48,9 +47,10 @@ class ScalingReport:
 
 
 def instance_size_bits(g: Permutation, v: str, w: str, alphabet_size: int = 2) -> int:
-    """Encoded input size: index bits across all cycles plus both configurations."""
+    """Encoded input size: index bits across all cycles plus both
+    configurations at ceil(log2(alphabet_size)) bits a symbol, at least 1."""
     bits = sum(e.bit_length() for c in g.cycles for e in c)
-    per_symbol = max(1, math.ceil(math.log2(alphabet_size))) if alphabet_size > 1 else 1
+    per_symbol = max(1, (at_least(alphabet_size, 1, "alphabet_size") - 1).bit_length())
     return bits + per_symbol * (len(v) + len(w))
 
 

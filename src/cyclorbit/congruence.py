@@ -260,11 +260,12 @@ def solve_system(
 ) -> ArithmeticProgression:
     """Intersection of all a_i + b_i * Z, folding in one distinct modulus at a time.
 
-    system is a CongruenceSystem, whose constructor is the one check of
-    each equation; the fold checks none again.  A first pass keeps one
-    residue per modulus and returns EMPTY as soon as a modulus comes back
-    with another residue.  Then, starting from 0 + 1Z, each distinct
-    modulus in ascending order intersects a + bZ with x = a_i (mod b_i):
+    system must be a CongruenceSystem (else TypeError), whose constructor
+    is the one check of each equation; the fold checks none again.  A
+    first pass keeps one residue per modulus and returns EMPTY as soon as a
+    modulus comes back with another residue.  Then, starting from 0 + 1Z,
+    each distinct modulus in ascending order intersects a + bZ with
+    x = a_i (mod b_i):
     the step takes d, x = extended_gcd(b mod b_i, b_i) and
     c = (a_i - a) mod b_i, returns EMPTY unless d divides c, and else moves
     to a + y*b + b*(b_i/d) Z with y = x*(c/d) mod (b_i/d).  The empty
@@ -278,6 +279,8 @@ def solve_system(
     for the dedupe and D*ceil(log2(D+1)) comparisons for sorting the D
     distinct moduli.
     """
+    if not isinstance(system, CongruenceSystem):
+        raise TypeError(f"system must be a CongruenceSystem, got {type(system).__name__}")
     residues = {}
     for a_i, b_i in system:
         if counter is not None:
@@ -326,6 +329,8 @@ def naive_intersection(
     Shares no code with solve_system on purpose.  Raises ValueError when the
     scan would exceed scan_bound.
     """
+    if not isinstance(system, CongruenceSystem):
+        raise TypeError(f"system must be a CongruenceSystem, got {type(system).__name__}")
     span = math.lcm(*(b for _, b in system)) if len(system) else 1
     if span > scan_bound:
         raise ValueError(f"lcm {clip(span)} exceeds the scan bound {clip(scan_bound)}")

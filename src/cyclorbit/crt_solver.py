@@ -251,7 +251,10 @@ def decide_solvable(
     levels[q][e' - 1] == z'.  A stronger one must agree with z at level e,
     then its own reductions replace the table.  The first disagreement
     refutes the system, before later moduli are taken into the base.
+    TypeError unless system is a CongruenceSystem.
     """
+    if not isinstance(system, CongruenceSystem):
+        raise TypeError(f"system must be a CongruenceSystem, got {type(system).__name__}")
     if stats is None:
         stats = CrtStats()
     levels = CoprimeBase()

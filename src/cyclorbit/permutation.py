@@ -10,10 +10,10 @@ congruences rests on.
 Each input invariant has one check.  A Permutation is immutable, and its
 degree and indices, which must be ints (operator.index), are checked once
 when it is built, the indices by one pass over all its cycles;
-check_configuration is the one length check of a configuration against the
-degree.  parse_permutation reads whitespace-free cycle notation with the
-json module and leaves the rest, and every error, to a token scanner that
-keeps its own checks.
+check_configuration is the one check of a configuration: a str (else
+TypeError) whose length is the degree.  parse_permutation reads
+whitespace-free cycle notation with the json module and leaves the rest,
+and every error, to a token scanner that keeps its own checks.
 """
 
 from __future__ import annotations
@@ -147,8 +147,11 @@ def order(g: Permutation) -> int:
 
 
 def check_configuration(g: Permutation, *configurations: Configuration) -> None:
-    """Raise ValueError naming the first configuration whose length is not g's degree."""
+    """Raise TypeError for a configuration that is not a str, and ValueError
+    naming the first configuration whose length is not g's degree."""
     for v in configurations:
+        if not isinstance(v, str):
+            raise TypeError(f"a configuration must be a str, got {type(v).__name__}")
         if len(v) != g.n:
             raise ValueError(f"configuration length {len(v)} does not match degree {clip(g.n)}")
 
@@ -182,7 +185,10 @@ def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
 
 
 def project(v: Configuration, c: Cycle) -> str:
-    """v restricted to the cycle's indices, in the cycle's stored order."""
+    """v restricted to the cycle's indices, in the cycle's stored order.
+    A c that is not a Cycle is checked by making it one."""
+    if not isinstance(c, Cycle):
+        c = Cycle(c)
     try:
         return "".join([v[j - 1] for j in c])
     except IndexError:

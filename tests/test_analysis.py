@@ -5,14 +5,12 @@ import pytest
 
 from cyclorbit import (
     EMPTY,
-    StirlingTable,
-    asymptotic_ratio_report,
-    cycle_count_moments,
     fit_polylog_exponent,
     harmonic_values,
     measure_average_cost,
     verify_moment_identities,
 )
+from cyclorbit.analysis import StirlingTable, asymptotic_ratio_report, cycle_count_moments
 
 
 def test_average_cost_check_raises(monkeypatch):

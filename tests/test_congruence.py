@@ -8,18 +8,12 @@ from cyclorbit import (
     EMPTY,
     ArithmeticProgression,
     CongruenceSystem,
-    CoprimeBase,
     CostCounter,
     Permutation,
-    StirlingTable,
     SystemFormatError,
     apply,
     apply_power,
-    asymptotic_ratio_report,
     brute_force_orbit,
-    extended_gcd,
-    factorize,
-    first_primes,
     measure_average_cost,
     naive_intersection,
     primorial_permutation,
@@ -32,6 +26,10 @@ from cyclorbit import (
     solve_system,
     verify_moment_identities,
 )
+from cyclorbit.analysis import StirlingTable, asymptotic_ratio_report
+from cyclorbit.congruence import extended_gcd
+from cyclorbit.crt_solver import CoprimeBase, factorize
+from cyclorbit.permutation import first_primes
 
 small_systems = st.lists(
     st.integers(1, 12).flatmap(
@@ -232,6 +230,11 @@ def test_cost_counter_word_charges():
     neg.add_word_ops(5)
     neg.observe(-(2**200))
     assert (neg.word_ops, neg.max_bits) == (c.word_ops, c.max_bits)
+    # ceil(bits / 64) words, exactly at and around the word boundaries
+    for bits, words in ((63, 1), (64, 1), (65, 2), (128, 2), (129, 3)):
+        edge = CostCounter()
+        edge.charge(2 ** (bits - 1))
+        assert (edge.word_ops, edge.max_bits) == (words, bits)
 
 
 def test_solver_cost_scales_with_operand_width():

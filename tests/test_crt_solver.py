@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from cyclorbit import (
     CongruenceSystem,
-    CoprimeBase,
     CrtStats,
-    PowerEquation,
     decide_solvable,
-    factorize,
     solve_system,
 )
 from cyclorbit import crt_solver
+from cyclorbit.crt_solver import CoprimeBase, PowerEquation, factorize
 
 from test_congruence import small_systems
 

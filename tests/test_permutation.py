@@ -14,7 +14,6 @@ from cyclorbit import (
     Permutation,
     apply,
     apply_power,
-    first_primes,
     format_permutation,
     order,
     parse_permutation,
@@ -23,7 +22,7 @@ from cyclorbit import (
 )
 from cyclorbit import permutation
 from cyclorbit.congruence import clip
-from cyclorbit.permutation import cycles_of_mapping
+from cyclorbit.permutation import cycles_of_mapping, first_primes
 
 
 def random_permutation(draw, max_n=12):

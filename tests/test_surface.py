@@ -1,0 +1,91 @@
+"""The public surface of cyclorbit, and its answers to hostile arguments."""
+
+import pytest
+
+import cyclorbit
+from cyclorbit import (
+    Permutation,
+    apply,
+    apply_power,
+    decide_orbit,
+    decide_solvable,
+    harmonic_values,
+    instance_size_bits,
+    naive_intersection,
+    parse_permutation,
+    project,
+    reduce,
+    solve_system,
+)
+
+PUBLIC = {
+    "BACKEND", "EMPTY", "NOT_IN_ORBIT", "ArithmeticProgression", "CongruenceSystem",
+    "CostCounter", "CrtStats", "Cycle", "CycleNotationError", "OrbitAnswer",
+    "OrderBoundExceeded", "Permutation", "SystemFormatError", "apply", "apply_power",
+    "brute_force_orbit", "decide_orbit", "decide_solvable", "fit_polylog_exponent",
+    "format_permutation", "harmonic_values", "instance_size_bits", "measure_average_cost",
+    "naive_intersection", "order", "parse_permutation", "primorial_permutation",
+    "progression", "project", "ratio_band", "reduce", "rotate_right", "rotation_exponents",
+    "run_primes_then_pairs_scaling", "run_primorial_scaling", "run_random_scaling",
+    "solve_system", "verify_moment_identities", "__version__",
+}
+
+# internal kernels and tables, imported from their modules
+INTERNAL = {
+    "Configuration": "permutation", "CoprimeBase": "crt_solver",
+    "PowerEquation": "crt_solver", "StirlingTable": "analysis",
+    "cycle_count_moments": "analysis", "asymptotic_ratio_report": "analysis",
+    "extended_gcd": "congruence", "factorize": "crt_solver", "first_primes": "permutation",
+    "brute_force_cycle_solutions": "oracle",
+}
+
+
+def test_all_is_the_pinned_surface():
+    assert len(cyclorbit.__all__) == len(PUBLIC) == 39
+    assert set(cyclorbit.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    star = {}
+    exec("from cyclorbit import *", star)
+    for name in cyclorbit.__all__:
+        assert star[name] is getattr(cyclorbit, name)
+
+
+def test_internal_names_stay_in_their_modules():
+    for name, module in INTERNAL.items():
+        assert not hasattr(cyclorbit, name)
+        assert hasattr(getattr(cyclorbit, module), name)
+
+
+G3 = parse_permutation("(1,2,3)", 3)
+G2 = Permutation(2, [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    ("call", "error"),
+    [
+        pytest.param(lambda: decide_orbit(G3, list("abc"), list("bca")), TypeError,
+                     id="decide_orbit-list"),
+        pytest.param(lambda: reduce(G3, list("abc"), list("bca")), TypeError, id="reduce-list"),
+        pytest.param(lambda: apply(G3, list("abc")), TypeError, id="apply-list"),
+        pytest.param(lambda: apply_power(G3, 1, list("abc")), TypeError, id="apply_power-list"),
+        pytest.param(lambda: project("abc", (0,)), ValueError, id="project-index-0"),
+        pytest.param(lambda: project("abc", (-1, 1)), ValueError, id="project-negative"),
+        pytest.param(lambda: solve_system(((1.5, 2),)), TypeError, id="solve_system-float"),
+        pytest.param(lambda: solve_system(((1, 0),)), TypeError, id="solve_system-modulus-0"),
+        pytest.param(lambda: decide_solvable(((5, 3), (2, 3))), TypeError,
+                     id="decide_solvable-tuple"),
+        pytest.param(lambda: naive_intersection(((5, 3),)), TypeError,
+                     id="naive_intersection-tuple"),
+        pytest.param(lambda: instance_size_bits(G2, "01", "10", alphabet_size=2.5), TypeError,
+                     id="instance_size_bits-float"),
+        pytest.param(lambda: instance_size_bits(G2, "01", "10", alphabet_size=0), ValueError,
+                     id="instance_size_bits-0"),
+        pytest.param(lambda: harmonic_values(-1), ValueError, id="harmonic_values-negative"),
+    ],
+)
+def test_hostile_arguments_fail_typed(call, error):
+    # RuntimeError is kept for the library's own faults, so it must not show here
+    with pytest.raises(error):
+        call()
