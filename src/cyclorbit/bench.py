@@ -15,7 +15,9 @@ from dataclasses import astuple, dataclass, fields
 
 from .congruence import CostCounter, at_least
 from .orbit import decide_orbit
-from .permutation import Permutation, apply_power, order, primorial_permutation
+from .permutation import (
+    Permutation, apply_power, check_configuration, order, primorial_permutation,
+)
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,9 @@ class ScalingReport:
 
 
 def instance_size_bits(g: Permutation, v: str, w: str, alphabet_size: int = 2) -> int:
-    """Encoded input size: index bits across all cycles plus both
-    configurations at ceil(log2(alphabet_size)) bits a symbol, at least 1."""
+    """Encoded input size of the configurations v and w of g: index bits across
+    all cycles plus both at ceil(log2(alphabet_size)) bits a symbol, at least 1."""
+    check_configuration(g, v, w)
     bits = sum(e.bit_length() for c in g.cycles for e in c)
     per_symbol = max(1, (at_least(alphabet_size, 1, "alphabet_size") - 1).bit_length())
     return bits + per_symbol * (len(v) + len(w))

@@ -156,8 +156,8 @@ def _cmd_crt_check(args) -> int:
     print("SOLVABLE" if solvable else "UNSOLVABLE")
     print(f"p_max={stats.p_max} e_max={stats.e_max} bit_ops={stats.bit_ops}")
     if args.verbose:
-        for atom, cost in stats.per_atom:
-            print(f"  {atom}: {cost} bit ops")
+        for (q, e, z), cost in stats.per_atom:
+            print(f"  {z} mod {q}^{e}: {cost} bit ops")
     return EXIT_YES if solvable else EXIT_NO
 
 

@@ -327,12 +327,12 @@ def naive_intersection(
     """Oracle solver: scan [0, lcm of moduli) and rebuild the set from the hits.
 
     Shares no code with solve_system on purpose.  Raises ValueError when the
-    scan would exceed scan_bound.
+    scan would exceed scan_bound, and TypeError unless scan_bound is an int.
     """
     if not isinstance(system, CongruenceSystem):
         raise TypeError(f"system must be a CongruenceSystem, got {type(system).__name__}")
     span = math.lcm(*(b for _, b in system)) if len(system) else 1
-    if span > scan_bound:
+    if span > index(scan_bound):
         raise ValueError(f"lcm {clip(span)} exceeds the scan bound {clip(scan_bound)}")
     hits = [x for x in range(span) if system.satisfied_by(x)]
     if not hits:

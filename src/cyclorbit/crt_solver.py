@@ -35,18 +35,6 @@ from math import gcd, isqrt, prod
 from .congruence import CongruenceSystem, at_least
 
 
-@dataclass(frozen=True)
-class PowerEquation:
-    """One atom x = residue (mod base**exponent), with 0 <= residue < modulus."""
-
-    base: int
-    exponent: int
-    residue: int
-
-    def __str__(self):
-        return f"{self.residue} mod {self.base}^{self.exponent}"
-
-
 @dataclass
 class CrtStats:
     """Accounting for one solvability check.
@@ -54,15 +42,15 @@ class CrtStats:
     bit_ops charges comparisons at min(bit lengths) + 1, and gcds, divisions
     and reductions quadratically in the operand widths, the straightforward
     arithmetic model.  p_max is the largest base element and e_max the
-    longest table when the scan returns.  per_atom records (atom, bit_ops
-    spent on that atom) so tests can pin down that cheap atoms stay cheap
-    next to expensive neighbours.
+    longest table when the scan returns.  per_atom records ((q, e, z), bit_ops
+    spent on it) for each atom x = z (mod q^e) kept, so tests can pin down
+    that cheap atoms stay cheap next to expensive neighbours.
     """
 
     p_max: int = 0
     e_max: int = 0
     bit_ops: int = 0
-    per_atom: list[tuple[PowerEquation, int]] = field(default_factory=list)
+    per_atom: list[tuple[tuple[int, int, int], int]] = field(default_factory=list)
 
     def charge_compare(self, x: int, y: int) -> None:
         self.bit_ops += min(x.bit_length(), y.bit_length()) + 1
@@ -217,8 +205,7 @@ def _scan(system: CongruenceSystem, levels: CoprimeBase, stats: CrtStats) -> boo
         for q, e_new in factorize(b, levels, stats):
             m = q**e_new
             stats.charge_mod(a, m)
-            atom = PowerEquation(q, e_new, a % m)
-            z_new = atom.residue
+            z_new = a % m
             spent_before = stats.bit_ops
             held = levels[q]
             e = len(held)
@@ -235,7 +222,7 @@ def _scan(system: CongruenceSystem, levels: CoprimeBase, stats: CrtStats) -> boo
                     if z_new % m != held[-1]:
                         return False
                 levels[q] = _refresh_levels(q, z_new, e_new, stats)
-            stats.per_atom.append((atom, stats.bit_ops - spent_before))
+            stats.per_atom.append(((q, e_new, z_new), stats.bit_ops - spent_before))
     return True
 
 

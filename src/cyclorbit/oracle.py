@@ -8,6 +8,8 @@ between the two is real evidence.
 
 from __future__ import annotations
 
+from operator import index
+
 from .congruence import ArithmeticProgression, clip
 from .orbit import NOT_IN_ORBIT, OrbitAnswer
 from .permutation import Configuration, Permutation, order
@@ -59,14 +61,16 @@ def brute_force_orbit(
     """Exact orbit answer by enumerating every exponent in [0, order(g)).
 
     Raises OrderBoundExceeded when order(g) > bound rather than silently
-    truncating the scan.
+    truncating the scan.  TypeError unless v and w are str and bound an int.
     """
+    if not (isinstance(v, str) and isinstance(w, str)):
+        raise TypeError(f"configurations must be str, got {type(v).__name__}, {type(w).__name__}")
     if len(v) != g.n or len(w) != g.n:
         raise ValueError(
             f"configuration lengths {len(v)}, {len(w)} do not match degree {clip(g.n)}"
         )
     n_steps = order(g)
-    if n_steps > bound:
+    if n_steps > index(bound):
         raise OrderBoundExceeded(f"order {clip(n_steps)} exceeds the bound {clip(bound)}")
     hits = orbit_scan(g, v, w, n_steps)
     if not hits:

@@ -185,8 +185,10 @@ def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
 
 
 def project(v: Configuration, c: Cycle) -> str:
-    """v restricted to the cycle's indices, in the cycle's stored order.
-    A c that is not a Cycle is checked by making it one."""
+    """v, a str, restricted to the cycle's indices, in the cycle's stored
+    order.  A c that is not a Cycle is checked by making it one."""
+    if not isinstance(v, str):
+        raise TypeError(f"a configuration must be a str, got {type(v).__name__}")
     if not isinstance(c, Cycle):
         c = Cycle(c)
     try:

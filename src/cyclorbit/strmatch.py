@@ -48,24 +48,26 @@ def kmp_search_count(text, pattern):
 
 
 def rotate_right(s: str, r: int) -> str:
-    """s cyclically shifted right r times (the last symbol wraps to the front)."""
+    """s, a str, cyclically shifted right r times (the last symbol wraps to the front)."""
+    if not isinstance(s, str):
+        raise TypeError(f"s must be a str, got {type(s).__name__}")
     r = index(r)
     if not s:
         return s
     r %= len(s)
-    if r == 0:
-        return s
     return s[-r:] + s[:-r]
 
 
 def rotation_exponents(vc: str, wc: str, counter=None) -> tuple[int, ...]:
-    """All r in [0, k) with rotate_right(vc, r) == wc, ascending.
+    """All r in [0, k) with rotate_right(vc, r) == wc, ascending, for str vc and wc.
 
     Found by matching vc inside the doubled wc: an occurrence at 0-based
     offset p means vc is wc rotated left p times, i.e. wc == rotate_right(vc, p).
     Offsets >= k would repeat offset 0 and are dropped.  If a counter is
     given it is charged one word op per symbol comparison.
     """
+    if not (isinstance(vc, str) and isinstance(wc, str)):
+        raise TypeError(f"projections must be str, got {type(vc).__name__}, {type(wc).__name__}")
     k = len(vc)
     if len(wc) != k:
         raise ValueError(f"projection lengths differ: {k} vs {len(wc)}")

@@ -93,6 +93,13 @@ def test_oracle_bound(tmp_path, capsys):
     assert main(["oracle", path]) == EXIT_YES
 
 
+def test_oracle_negative_bound(tmp_path, capsys):
+    # an int bound keeps its meaning: even the identity's order 1 exceeds -1
+    path = write(tmp_path, "inst.txt", "n 2\nalphabet 01\nperm\nv 01\nw 01\n")
+    assert main(["oracle", path, "--bound", "-1"]) == EXIT_BOUND
+    assert capsys.readouterr().err == "error: order 1 exceeds the bound -1\n"
+
+
 def test_solve_malformed(tmp_path, capsys):
     path = write(tmp_path, "inst.txt", "n 2\nalphabet 01\nperm (1,2\nv 01\nw 10\n")
     assert main(["solve", path]) == EXIT_INPUT
@@ -187,6 +194,15 @@ def test_crt_check_command(tmp_path, capsys):
     assert main(["crt-check", path, "--verbose"]) == EXIT_NO
     out = capsys.readouterr().out
     assert out.startswith("UNSOLVABLE")
+    path = write(tmp_path, "sys3.txt", "3 mod 4\n7 mod 12\n")
+    assert main(["crt-check", path, "--verbose"]) == EXIT_YES
+    assert capsys.readouterr().out == (
+        "SOLVABLE\n"
+        "p_max=4 e_max=1 bit_ops=149\n"
+        "  3 mod 4^1: 13 bit ops\n"
+        "  3 mod 4^1: 5 bit ops\n"
+        "  1 mod 3^1: 7 bit ops\n"
+    )
 
 
 def test_crt_check_big_prime_in_subprocess(tmp_path):

@@ -4,9 +4,12 @@ import pytest
 
 import cyclorbit
 from cyclorbit import (
+    CongruenceSystem,
+    Cycle,
     Permutation,
     apply,
     apply_power,
+    brute_force_orbit,
     decide_orbit,
     decide_solvable,
     harmonic_values,
@@ -15,6 +18,8 @@ from cyclorbit import (
     parse_permutation,
     project,
     reduce,
+    rotate_right,
+    rotation_exponents,
     solve_system,
 )
 
@@ -32,8 +37,7 @@ PUBLIC = {
 
 # internal kernels and tables, imported from their modules
 INTERNAL = {
-    "Configuration": "permutation", "CoprimeBase": "crt_solver",
-    "PowerEquation": "crt_solver", "StirlingTable": "analysis",
+    "Configuration": "permutation", "CoprimeBase": "crt_solver", "StirlingTable": "analysis",
     "cycle_count_moments": "analysis", "asymptotic_ratio_report": "analysis",
     "extended_gcd": "congruence", "factorize": "crt_solver", "first_primes": "permutation",
     "brute_force_cycle_solutions": "oracle",
@@ -72,6 +76,10 @@ G2 = Permutation(2, [(1, 2)])
         pytest.param(lambda: apply_power(G3, 1, list("abc")), TypeError, id="apply_power-list"),
         pytest.param(lambda: project("abc", (0,)), ValueError, id="project-index-0"),
         pytest.param(lambda: project("abc", (-1, 1)), ValueError, id="project-negative"),
+        pytest.param(lambda: project(list("abc"), Cycle((1, 2))), TypeError, id="project-list"),
+        pytest.param(lambda: rotate_right(list("abc"), 1), TypeError, id="rotate_right-list"),
+        pytest.param(lambda: rotation_exponents(list("abc"), list("bca")), TypeError,
+                     id="rotation_exponents-list"),
         pytest.param(lambda: solve_system(((1.5, 2),)), TypeError, id="solve_system-float"),
         pytest.param(lambda: solve_system(((1, 0),)), TypeError, id="solve_system-modulus-0"),
         pytest.param(lambda: decide_solvable(((5, 3), (2, 3))), TypeError,
@@ -82,6 +90,16 @@ G2 = Permutation(2, [(1, 2)])
                      id="instance_size_bits-float"),
         pytest.param(lambda: instance_size_bits(G2, "01", "10", alphabet_size=0), ValueError,
                      id="instance_size_bits-0"),
+        pytest.param(lambda: instance_size_bits(G3, "ab", "abcd"), ValueError,
+                     id="instance_size_bits-length"),
+        pytest.param(lambda: instance_size_bits(G3, list("abc"), list("abc")), TypeError,
+                     id="instance_size_bits-list"),
+        pytest.param(lambda: brute_force_orbit(G3, "abc", "bca", bound=3.5), TypeError,
+                     id="brute_force_orbit-float-bound"),
+        pytest.param(lambda: brute_force_orbit(G3, list("abc"), list("bca")), TypeError,
+                     id="brute_force_orbit-list"),
+        pytest.param(lambda: naive_intersection(CongruenceSystem(((1, 2),)), scan_bound=2.5),
+                     TypeError, id="naive_intersection-float-bound"),
         pytest.param(lambda: harmonic_values(-1), ValueError, id="harmonic_values-negative"),
     ],
 )
