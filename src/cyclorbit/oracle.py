@@ -61,8 +61,11 @@ def brute_force_orbit(
     """Exact orbit answer by enumerating every exponent in [0, order(g)).
 
     Raises OrderBoundExceeded when order(g) > bound rather than silently
-    truncating the scan.  TypeError unless v and w are str and bound an int.
+    truncating the scan.  TypeError unless g is a Permutation, v and w are
+    str and bound an int.
     """
+    if not isinstance(g, Permutation):
+        raise TypeError(f"g must be a Permutation, got {type(g).__name__}")
     if not (isinstance(v, str) and isinstance(w, str)):
         raise TypeError(f"configurations must be str, got {type(v).__name__}, {type(w).__name__}")
     if len(v) != g.n or len(w) != g.n:

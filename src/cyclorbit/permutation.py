@@ -9,8 +9,12 @@ congruences rests on.
 
 Each input invariant has one check.  A Permutation is immutable, and its
 degree and indices, which must be ints (operator.index), are checked once
-when it is built, the indices by one pass over all its cycles;
-check_configuration is the one check of a configuration: a str (else
+when it is built: one pass over all its cycles checks each index's range,
+then one duplicate check counts the distinct indices.  A degree n of at
+most 32 times the number of indices marks each index in a bytearray(n),
+which costs no more than the ints themselves; a larger n, or a lone Cycle,
+puts them in one set.  check_configuration is the one check of a
+configuration: g a Permutation and the configuration a str (else
 TypeError) whose length is the degree.  parse_permutation reads
 whitespace-free cycle notation with the json module and leaves the rest,
 and every error, to a token scanner that keeps its own checks.
@@ -22,7 +26,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from operator import index
+from operator import index, itemgetter
 
 from .congruence import at_least, clip, decimal, parse_int
 
@@ -76,40 +80,63 @@ class Permutation:
 
     def moved_mask(self):
         """bytearray of length n, entry j-1 set iff some cycle contains j."""
-        mask = bytearray(self.n)
-        for c in self.cycles:
-            for e in c:
-                mask[e - 1] = 1
-        return mask
+        return _marks(self.cycles, self.n)
 
     def __repr__(self):
         return f"Permutation({decimal(self.n)}, {''.join(map(repr, self.cycles))!r})"
 
 
 def _checked_cycles(cycles, n=math.inf) -> list[Cycle]:
-    """Each cycle as a Cycle of ints, after one pass over all cycles that
-    checks each index once: an int (operator.index, so a float or a string
-    raises TypeError), no cycle empty, every index in [1, n], none used
-    twice.  The ValueError names the first bad index in cycle order."""
+    """Each cycle as a Cycle of ints, checked in one pass over all cycles
+    and one duplicate check: every index an int (operator.index, so a float
+    or a string raises TypeError), no cycle empty, every index in [1, n],
+    none used twice.  The ValueError names the first bad index in cycle
+    order."""
     out = []
-    seen = set()
+    total = 0
     for c in cycles:
-        elems = tuple.__new__(Cycle, map(index, c))  # the one place a Cycle is made
+        # an index used twice in the cycles before an error is named first
+        try:
+            elems = tuple.__new__(Cycle, map(index, c))  # the one place a Cycle is made
+        except TypeError:
+            _name_first_bad(out, n)
+            raise
         if not elems:
+            _name_first_bad(out, n)
             raise ValueError("a cycle needs at least one element")
         out.append(elems)
-        before = len(seen)
-        seen.update(elems)
-        # with no index used twice, seen grows by exactly the cycle's length
-        if min(elems) < 1 or max(elems) > n or len(seen) - before != len(elems):
-            used = set()  # walk again, only to name the first bad index
-            for e in (e for cycle in out for e in cycle):
-                if not 1 <= e <= n:
-                    raise ValueError(f"index {clip(e)} outside [1, {clip(n)}]")
-                if e in used:
-                    raise ValueError(f"index {clip(e)} already used")
-                used.add(e)
+        total += len(elems)
+        if min(elems) < 1 or max(elems) > n:
+            _name_first_bad(out, n)
+    # with no index used twice, the distinct indices number exactly the total
+    if n <= 32 * total:  # one byte per possible index costs less than the ints
+        distinct = _marks(out, n).count(1)
+    else:
+        distinct = len(set().union(*out))
+    if distinct != total:
+        _name_first_bad(out, n)
     return out
+
+
+def _marks(cycles, n) -> bytearray:
+    """bytearray of length n, entry j-1 set iff some cycle contains j."""
+    mask = bytearray(n)
+    for c in cycles:
+        for e in c:
+            mask[e - 1] = 1
+    return mask
+
+
+def _name_first_bad(cycles, n) -> None:
+    """Raise the ValueError for the first index of cycles, in cycle order,
+    that is outside [1, n] or used twice; return if there is none."""
+    used = set()
+    for e in (e for cycle in cycles for e in cycle):
+        if not 1 <= e <= n:
+            raise ValueError(f"index {clip(e)} outside [1, {clip(n)}]")
+        if e in used:
+            raise ValueError(f"index {clip(e)} already used")
+        used.add(e)
 
 
 def cycles_of_mapping(mapping):
@@ -141,14 +168,22 @@ def cycles_of_mapping(mapping):
     return out
 
 
+def _check_permutation(g) -> None:
+    if not isinstance(g, Permutation):
+        raise TypeError(f"g must be a Permutation, got {type(g).__name__}")
+
+
 def order(g: Permutation) -> int:
     """Order of the cyclic group <g>: the lcm of the cycle lengths."""
+    _check_permutation(g)
     return math.lcm(*(len(c) for c in g.cycles))
 
 
 def check_configuration(g: Permutation, *configurations: Configuration) -> None:
-    """Raise TypeError for a configuration that is not a str, and ValueError
-    naming the first configuration whose length is not g's degree."""
+    """Raise TypeError for a g that is not a Permutation or a configuration
+    that is not a str, and ValueError naming the first configuration whose
+    length is not g's degree."""
+    _check_permutation(g)
     for v in configurations:
         if not isinstance(v, str):
             raise TypeError(f"a configuration must be a str, got {type(v).__name__}")
@@ -171,17 +206,15 @@ def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
     """g^r v computed in one pass: each cycle's projection is right-shifted r mod k times."""
     r = at_least(r, 0, "exponent")
     check_configuration(g, v)
-    out = list(v)
+    padded = "\0" + v  # so that 1-based indices read it directly
+    out = list(padded)
     for e in g.cycles:
-        k = len(e)
-        s = r % k
-        if s == 0:
-            continue
-        proj = [v[j - 1] for j in e]
-        rot = proj[-s:] + proj[:-s]
-        for j, ch in zip(e, rot):
-            out[j - 1] = ch
-    return "".join(out)
+        s = r % len(e)
+        if s:
+            # index e[t] receives the symbol at e[t - s]; a cycle has at least two
+            for j, ch in zip(e, itemgetter(*e[-s:], *e[:-s])(padded)):
+                out[j] = ch
+    return "".join(out)[1:]
 
 
 def project(v: Configuration, c: Cycle) -> str:
@@ -200,6 +233,7 @@ def project(v: Configuration, c: Cycle) -> str:
 def format_permutation(g: Permutation) -> str:
     """Cycle notation, e.g. "(6,5,7,3,2,1)(4,8)"; the identity formats as "".
     Exact, so an index past the interpreter's digit limit raises a ValueError."""
+    _check_permutation(g)
     try:
         return "".join("(" + ",".join(map(str, c)) + ")" for c in g.cycles)
     except ValueError:  # then the largest index is past the limit

@@ -63,8 +63,9 @@ def rotation_exponents(vc: str, wc: str, counter=None) -> tuple[int, ...]:
 
     Found by matching vc inside the doubled wc: an occurrence at 0-based
     offset p means vc is wc rotated left p times, i.e. wc == rotate_right(vc, p).
-    Offsets >= k would repeat offset 0 and are dropped.  If a counter is
-    given it is charged one word op per symbol comparison.
+    In the 2k symbols of the doubled wc the only offset >= k is k itself,
+    which repeats offset 0 and is dropped.  If a counter is given it is
+    charged one word op per symbol comparison.
     """
     if not (isinstance(vc, str) and isinstance(wc, str)):
         raise TypeError(f"projections must be str, got {type(vc).__name__}, {type(wc).__name__}")
@@ -80,4 +81,6 @@ def rotation_exponents(vc: str, wc: str, counter=None) -> tuple[int, ...]:
     positions, comparisons = kmp_search_count(wc + wc, vc)
     if counter is not None:
         counter.add_word_ops(comparisons)
-    return tuple(p for p in positions if p < k)
+    if positions and positions[-1] == k:
+        positions.pop()
+    return tuple(positions)

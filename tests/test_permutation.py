@@ -3,6 +3,7 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -88,6 +89,63 @@ def test_constructor_errors_name_one_clipped_index():
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == message
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_both_duplicate_checks_match_the_scanner(data):
+    # degrees up to 32 * total take the byte marks, larger ones the set
+    total = data.draw(st.integers(2, 40), label="total")
+    n = data.draw(
+        st.one_of(
+            st.sampled_from([total, 32 * total, 32 * total + 1, 10**30]),
+            st.integers(total + 1, 32 * total),
+            st.integers(32 * total + 2, 64 * total),
+        ),
+        label="n",
+    )
+    if n == total:
+        indices = list(data.draw(st.permutations(range(1, n + 1))))
+    else:
+        indices = data.draw(st.lists(st.integers(1, n), min_size=total, max_size=total,
+                                     unique=True))
+    bad = data.draw(st.integers(0, total - 1), label="bad")
+    if data.draw(st.booleans(), label="repeat"):
+        indices[bad] = indices[data.draw(st.integers(0, total - 1).filter(lambda i: i != bad))]
+    else:
+        indices[bad] = data.draw(st.sampled_from([0, n + 1, 2 * n + 7]))
+    cuts = sorted(data.draw(st.sets(st.integers(1, total - 1), max_size=4)))
+    cycles = [indices[a:b] for a, b in zip([0, *cuts], [*cuts, total])]
+    text = "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+    with pytest.raises(CycleNotationError) as scanned:
+        permutation._scan_permutation(text, n)
+    with pytest.raises(ValueError) as built:
+        Permutation(n, cycles)
+    assert f"{built.value} (at position {scanned.value.position})" == str(scanned.value)
+
+
+def test_sparse_degree_names_the_repeat():
+    with pytest.raises(ValueError) as exc:
+        Permutation(10**30, [(1, 10**29), (10**29, 2)])
+    assert str(exc.value) == "index 100000000000000000000000000000 already used"
+    assert Permutation(10**30, [(1, 10**29), (2, 10**30)]).cycles == ((1, 10**29), (2, 10**30))
+
+
+def test_duplicate_check_peak_stays_small():
+    # the byte marks cost n bytes over what the Permutation keeps; a set of
+    # the 2 * 10^5 indices cost about 12 MiB
+    n = 2 * 10**5
+    points = list(range(1, n + 1))
+    random.Random(3).shuffle(points)
+    cycles = [points[: n // 3], points[n // 3 :]]
+    tracemalloc.start()
+    try:
+        g = Permutation(n, cycles)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.cycles) == 2
+    assert peak - retained < 2 * 2**20
 
 
 def test_indices_must_be_ints():

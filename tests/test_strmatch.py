@@ -105,3 +105,21 @@ def test_counter_charged_per_comparison():
     single = CostCounter()
     rotation_exponents("a", "a", single)
     assert single.word_ops == 1
+
+
+@pytest.mark.parametrize(
+    ("vc", "wc", "expected", "comparisons"),
+    [
+        pytest.param("a", "a", (0,), 1, id="a-1"),
+        pytest.param("aa", "aa", (0, 1), 5, id="a-2"),
+        pytest.param("a" * 10**5, "a" * 10**5, tuple(range(10**5)), 3 * 10**5 - 1, id="a-100000"),
+        pytest.param("ab" * 3, "ba" * 3, (1, 3, 5), 17, id="ab-6"),
+    ],
+)
+def test_offset_k_is_dropped_and_counts_stay(vc, wc, expected, comparisons):
+    # doubled wc == doubled vc puts a last match at offset k, which repeats 0
+    counter = CostCounter()
+    assert rotation_exponents(vc, wc, counter) == expected
+    assert counter.word_ops == comparisons
+    if len(vc) > 1:
+        assert kmp_search_count(wc + wc, vc)[1] == comparisons

@@ -12,9 +12,11 @@ from cyclorbit import (
     brute_force_orbit,
     decide_orbit,
     decide_solvable,
+    format_permutation,
     harmonic_values,
     instance_size_bits,
     naive_intersection,
+    order,
     parse_permutation,
     project,
     reduce,
@@ -101,6 +103,17 @@ G2 = Permutation(2, [(1, 2)])
         pytest.param(lambda: naive_intersection(CongruenceSystem(((1, 2),)), scan_bound=2.5),
                      TypeError, id="naive_intersection-float-bound"),
         pytest.param(lambda: harmonic_values(-1), ValueError, id="harmonic_values-negative"),
+        pytest.param(lambda: decide_orbit(((1, 2, 3),), "abc", "bca"), TypeError,
+                     id="decide_orbit-tuple-g"),
+        pytest.param(lambda: reduce([(1, 2)], "ab", "ba"), TypeError, id="reduce-list-g"),
+        pytest.param(lambda: apply("(1,2)", "ab"), TypeError, id="apply-str-g"),
+        pytest.param(lambda: apply_power(None, 1, "ab"), TypeError, id="apply_power-none-g"),
+        pytest.param(lambda: order([(1, 2)]), TypeError, id="order-list"),
+        pytest.param(lambda: format_permutation("(1,2)"), TypeError, id="format_permutation-str"),
+        pytest.param(lambda: instance_size_bits(None, "ab", "ba"), TypeError,
+                     id="instance_size_bits-none-g"),
+        pytest.param(lambda: brute_force_orbit(((1, 2, 3),), "abc", "bca"), TypeError,
+                     id="brute_force_orbit-tuple-g"),
     ],
 )
 def test_hostile_arguments_fail_typed(call, error):
