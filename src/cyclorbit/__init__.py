@@ -14,6 +14,11 @@ types they take and return, and the measurements.  The kernels and tables
 behind them (extended_gcd, factorize, CoprimeBase, StirlingTable, ...)
 are imported from their modules.  A checked argument of the wrong type
 raises TypeError, and one out of range ValueError.
+
+Importing the package loads only the decision path (congruence,
+permutation, strmatch, orbit).  The names of the measurements (analysis,
+bench), the oracle and the coprime-base solver (crt_solver) load their
+module the first time one of them is read.
 """
 
 from .congruence import (
@@ -38,21 +43,6 @@ from .permutation import (
     primorial_permutation,
     project,
 )
-from .analysis import (
-    fit_polylog_exponent,
-    harmonic_values,
-    measure_average_cost,
-    verify_moment_identities,
-)
-from .bench import (
-    instance_size_bits,
-    ratio_band,
-    run_primes_then_pairs_scaling,
-    run_primorial_scaling,
-    run_random_scaling,
-)
-from .crt_solver import CrtStats, decide_solvable
-from .oracle import OrderBoundExceeded, brute_force_orbit
 from .orbit import NOT_IN_ORBIT, OrbitAnswer, decide_orbit, reduce
 from .strmatch import rotate_right, rotation_exponents
 
@@ -102,3 +92,34 @@ __all__ = [
     "verify_moment_identities",
     "__version__",
 ]
+
+# public name -> the module that defines it, imported when the name is first read
+_LAZY = {
+    "fit_polylog_exponent": "analysis",
+    "harmonic_values": "analysis",
+    "measure_average_cost": "analysis",
+    "verify_moment_identities": "analysis",
+    "instance_size_bits": "bench",
+    "ratio_band": "bench",
+    "run_primes_then_pairs_scaling": "bench",
+    "run_primorial_scaling": "bench",
+    "run_random_scaling": "bench",
+    "CrtStats": "crt_solver",
+    "decide_solvable": "crt_solver",
+    "OrderBoundExceeded": "oracle",
+    "brute_force_orbit": "oracle",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | __all__)

@@ -3,24 +3,18 @@
 Exit codes: 0 for YES / solvable / all checks passed, 1 for NO / empty /
 unsolvable, 2 for malformed or over-budget input, 3 when the brute-force
 oracle refuses because the group order exceeds its bound.
+
+Each subcommand imports the modules only it uses, so `solve` and
+`congruence` load the decision path alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass
 
-from .analysis import (
-    asymptotic_ratio_report,
-    measure_average_cost,
-    verify_moment_identities,
-)
-from .bench import ratio_band, run_primorial_scaling
 from .congruence import CongruenceSystem, at_least, clip, content_lines, parse_int, solve_system
-from .crt_solver import CrtStats, decide_solvable
-from .oracle import OrderBoundExceeded, brute_force_orbit
 from .orbit import decide_orbit
 from .permutation import CycleNotationError, Permutation, parse_permutation
 
@@ -107,6 +101,8 @@ def load_instance(path: str) -> Instance:
 
 
 def _write_csv(path: str, rows) -> None:
+    import csv
+
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
@@ -132,6 +128,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import OrderBoundExceeded, brute_force_orbit
+
     inst = load_instance(args.instance)
     try:
         answer = brute_force_orbit(inst.g, inst.v, inst.w, bound=args.bound)
@@ -150,6 +148,8 @@ def _cmd_congruence(args) -> int:
 
 
 def _cmd_crt_check(args) -> int:
+    from .crt_solver import CrtStats, decide_solvable
+
     system = CongruenceSystem.from_text(_read_text(args.system))
     stats = CrtStats()
     solvable = decide_solvable(system, stats)
@@ -162,6 +162,8 @@ def _cmd_crt_check(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
+    from .analysis import asymptotic_ratio_report, verify_moment_identities
+
     report = verify_moment_identities(args.max_n)
     if report.ok:
         print(f"OK: {report.checked} identity checks up to n={report.n_max}, all exact")
@@ -177,6 +179,9 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .analysis import measure_average_cost
+    from .bench import ratio_band, run_primorial_scaling
+
     if args.mode == "primorial":
         report = run_primorial_scaling(args.max_i, rng_seed=args.seed, repeats=args.repeats)
         lo, hi = ratio_band(report)

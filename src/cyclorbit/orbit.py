@@ -88,8 +88,14 @@ def reduce(
             return None
         a_i = exponents[0]
         b_i = exponents[1] - a_i if len(exponents) > 1 else k
-        # the admissible rotations of one cycle are evenly spaced and the gap divides k
-        if b_i < 1 or k % b_i or exponents != tuple(range(a_i, k, b_i)):
+        # the admissible rotations of one cycle are evenly spaced and the gap
+        # divides k; read against a range, so no second k-long tuple is built
+        if (
+            b_i < 1
+            or k % b_i
+            or len(exponents) != len(r := range(a_i, k, b_i))
+            or any(map(ne, exponents, r))
+        ):
             raise RuntimeError(
                 f"rotations {clip(exponents)} of a {k}-cycle are not a progression"
             )

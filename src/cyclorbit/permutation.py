@@ -12,8 +12,9 @@ degree and indices, which must be ints (operator.index), are checked once
 when it is built: one pass over all its cycles checks each index's range,
 then one duplicate check counts the distinct indices.  A degree n of at
 most 32 times the number of indices marks each index in a bytearray(n),
-which costs no more than the ints themselves; a larger n, or a lone Cycle,
-puts them in one set.  check_configuration is the one check of a
+which costs no more than the ints themselves, and the Permutation keeps
+those marks, with its 1-cycles cleared, as its moved mask; a larger n, or a
+lone Cycle, puts them in one set.  check_configuration is the one check of a
 configuration: g a Permutation and the configuration a str (else
 TypeError) whose length is the degree.  parse_permutation reads
 whitespace-free cycle notation with the json module and leaves the rest,
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index, itemgetter
 
 from .congruence import at_least, clip, decimal, parse_int
@@ -51,7 +52,8 @@ class Cycle(tuple):
     __slots__ = ()
 
     def __new__(cls, elements):
-        return _checked_cycles((elements,))[0]
+        (cycle,), _ = _checked_cycles((elements,))
+        return cycle
 
     @property
     def elements(self):
@@ -72,26 +74,38 @@ class Permutation:
 
     n: int
     cycles: tuple[Cycle, ...] = ()
+    # the duplicate check's byte marks with the 1-cycles cleared, or None
+    _moved: bytearray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", at_least(self.n, 1, "degree"))
-        cycles = tuple(c for c in _checked_cycles(self.cycles, self.n) if len(c) >= 2)
-        object.__setattr__(self, "cycles", cycles)
+        cycles, marks = _checked_cycles(self.cycles, self.n)
+        moved = []
+        for c in cycles:
+            if len(c) >= 2:
+                moved.append(c)
+            elif marks is not None:
+                marks[c[0] - 1] = 0
+        object.__setattr__(self, "cycles", tuple(moved))
+        object.__setattr__(self, "_moved", marks)
 
     def moved_mask(self):
         """bytearray of length n, entry j-1 set iff some cycle contains j."""
-        return _marks(self.cycles, self.n)
+        if self._moved is None:
+            return _marks(self.cycles, self.n)
+        return bytearray(self._moved)
 
     def __repr__(self):
         return f"Permutation({decimal(self.n)}, {''.join(map(repr, self.cycles))!r})"
 
 
-def _checked_cycles(cycles, n=math.inf) -> list[Cycle]:
+def _checked_cycles(cycles, n=math.inf) -> tuple[list[Cycle], bytearray | None]:
     """Each cycle as a Cycle of ints, checked in one pass over all cycles
     and one duplicate check: every index an int (operator.index, so a float
     or a string raises TypeError), no cycle empty, every index in [1, n],
     none used twice.  The ValueError names the first bad index in cycle
-    order."""
+    order.  Also returns the duplicate check's byte marks (see _marks), or
+    None when it used a set."""
     out = []
     total = 0
     for c in cycles:
@@ -109,13 +123,15 @@ def _checked_cycles(cycles, n=math.inf) -> list[Cycle]:
         if min(elems) < 1 or max(elems) > n:
             _name_first_bad(out, n)
     # with no index used twice, the distinct indices number exactly the total
+    marks = None
     if n <= 32 * total:  # one byte per possible index costs less than the ints
-        distinct = _marks(out, n).count(1)
+        marks = _marks(out, n)
+        distinct = marks.count(1)
     else:
         distinct = len(set().union(*out))
     if distinct != total:
         _name_first_bad(out, n)
-    return out
+    return out, marks
 
 
 def _marks(cycles, n) -> bytearray:

@@ -20,6 +20,7 @@ from cyclorbit import (
     primorial_permutation,
     reduce,
 )
+from cyclorbit import orbit
 from cyclorbit.bench import _mark_cycle_starts
 from cyclorbit.oracle import brute_force_orbit
 
@@ -133,6 +134,13 @@ def test_progression_check_survives_optimize():
     )
     out = run_optimized(code)
     assert out.returncode == 0, out.stderr
+
+
+def test_progression_check_reads_every_exponent(monkeypatch):
+    # (0, 2, 5) is as long as range(0, 6, 2), so a check of lengths alone would pass it
+    monkeypatch.setattr(orbit, "rotation_exponents", lambda vc, wc, counter=None: (0, 2, 5))
+    with pytest.raises(RuntimeError, match="not a progression"):
+        reduce(Permutation(6, [range(1, 7)]), "0" * 6, "0" * 6)
 
 
 def test_solvable_per_cycle_but_empty_system():

@@ -455,3 +455,29 @@ def test_primorial_family():
 def test_moved_mask():
     g = Permutation(5, [(2, 4)])
     assert list(g.moved_mask()) == [0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize(
+    ("n", "cycles"),
+    [
+        (8, [(2, 4, 7), (5,), (1, 8)]),  # n <= 32 * total: the duplicate check's marks
+        (10**4, [(2, 4, 7), (5,), (1, 8)]),  # past it: a set, and the mask is made anew
+        (6, [(1,), (2,), (3, 6)]),
+        (3, [(1,), (2,), (3,)]),
+    ],
+)
+def test_moved_mask_on_both_duplicate_checks(n, cycles):
+    g = Permutation(n, cycles)
+    assert (g._moved is not None) == (n <= 32 * sum(map(len, cycles)))
+    mask = g.moved_mask()
+    assert mask == permutation._marks(g.cycles, n)
+    mask[:] = b"\7" * n  # the caller's copy; the next call is unchanged
+    assert g.moved_mask() == permutation._marks(g.cycles, n)
+
+
+def test_kept_marks_leave_equality_alone():
+    # the 1-cycles put this one on the byte marks; the other takes the set
+    dense = Permutation(100, [(1, 2), *[(j,) for j in range(3, 40)]])
+    sparse = Permutation(100, [(1, 2)])
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert repr(dense) == repr(sparse) == "Permutation(100, '(1,2)')"

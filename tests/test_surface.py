@@ -1,5 +1,10 @@
 """The public surface of cyclorbit, and its answers to hostile arguments."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import cyclorbit
@@ -62,6 +67,35 @@ def test_internal_names_stay_in_their_modules():
     for name, module in INTERNAL.items():
         assert not hasattr(cyclorbit, name)
         assert hasattr(getattr(cyclorbit, module), name)
+
+
+# the modules a decision runs; the measurements, the oracle and crt_solver
+# load when one of their names is first read
+FOOTPRINT = """
+import sys
+import cyclorbit
+import cyclorbit.cli
+loaded = [m for m in sys.modules if m.startswith("cyclorbit.")]
+assert set(cyclorbit.__all__) <= set(dir(cyclorbit)), "dir misses public names"
+from cyclorbit import analysis, bench, crt_solver, oracle
+print(*loaded)
+"""
+
+
+def test_import_loads_only_the_decision_path():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert set(out.stdout.split()) == {
+        "cyclorbit.cli", "cyclorbit.congruence", "cyclorbit.orbit", "cyclorbit.permutation",
+        "cyclorbit.strmatch",
+    }
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="nonexistent"):
+        cyclorbit.nonexistent  # noqa: B018
 
 
 G3 = parse_permutation("(1,2,3)", 3)
