@@ -1,50 +1,162 @@
-"""Linear-time string matching and rotation-exponent sets for cycle projections."""
+"""Linear-time string matching and rotation-exponent sets for cycle projections.
+
+kmp_search_count is Knuth-Morris-Pratt with the exact count of symbol
+comparisons the textbook per-symbol loop makes: n + (m - 1) first tests,
+one at each text position and at each pattern position after the first,
+plus one per fallback through the failure table.  Runs of first tests that
+succeed are measured in C by slice comparison (_agreement) once the loop
+has seen a streak of them, and after a full match Galil's rule finds the
+matches that follow one period apart in one such measurement.  Positions
+and count equal the per-symbol loop's on every input.
+"""
 
 from operator import index
 
+# The first probe's length and the streak that triggers it, and the longest
+# slice one probe copies or one assignment fills.
+_PROBE = 32
+_CAP = 1 << 16
+
+
+def _agreement(a, i, b, j, limit):
+    """Length of the common prefix of a[i:i + limit] and b[j:j + limit].
+
+    0 when the first min(_PROBE, limit) symbols already differ, which can
+    undercount a short common prefix; a caller that resumes symbol by symbol
+    loses nothing by that.  Otherwise the probe doubles up to _CAP symbols,
+    and a binary search inside the first probe that fails finds the exact
+    end.  Only slice comparisons are used, never str.find, so the counted
+    search shares no code with an uncounted find-based one.
+    """
+    step = min(_PROBE, limit)
+    if not a.startswith(b[j:j + step], i):
+        return 0
+    done = step
+    while done < limit:
+        step = min(2 * step, _CAP, limit - done)
+        if a.startswith(b[j + done:j + done + step], i + done):
+            done += step
+            continue
+        while step > 1:
+            half = step // 2
+            if a.startswith(b[j + done:j + done + half], i + done):
+                done += half
+                step -= half
+            else:
+                step = half
+        break
+    return done
+
 
 def kmp_search_count(text, pattern):
-    """All 0-based occurrences of pattern in text, plus symbol comparisons spent.
+    """All 0-based occurrences of str pattern in str text, plus symbol comparisons spent.
 
-    Overlapping matches are reported.  Every equality test between two
-    symbols counts exactly one comparison, both while building the failure
-    table and while scanning, so the count is an exact machine-independent
-    cost for the search.
+    Overlapping matches are reported.  The count is that of the textbook
+    loop, one per equality test between two symbols while building the
+    failure table and while scanning, so it is an exact machine-independent
+    cost for the search.  That loop tests each text position, and each
+    pattern position after the first, once before any fallback, so the
+    count is n + (m - 1) + the fallbacks, and only fallbacks are counted
+    as they happen.
+
+    A streak of need first-try successes (need starts at _PROBE; a success
+    reached after a fallback starts no streak) leaves the per-symbol loop
+    for one _agreement call that measures the rest of the run: in the
+    failure table it fills the run's consecutive values, in _CAP-long
+    slices, and in the scan it advances the state.  A full match that ends
+    such a streak, with at least _PROBE symbols still to read, follows
+    Galil's rule: with p = m - fail[m - 1] the next match starts p symbols
+    later for as long as text[j] == text[j - p], which one _agreement call
+    of the text against itself measures.  A call that finds no run doubles
+    need, up to _CAP, and one that finds a run resets it, so a text that
+    keeps breaking runs just past the streak pays few calls.
     """
+    if not (isinstance(text, str) and isinstance(pattern, str)):
+        raise TypeError(
+            f"text and pattern must be str, got {type(text).__name__}, {type(pattern).__name__}"
+        )
     n = len(text)
     m = len(pattern)
     if m == 0:
         raise ValueError("empty pattern")
     fail = [0] * m
-    comparisons = 0
+    fallbacks = 0
     k = 0
-    for i in range(1, m):
-        ci = pattern[i]
-        while True:
-            comparisons += 1
-            if ci == pattern[k]:
+    i = 1
+    need = _PROBE
+    stop = need  # a first-try success at index stop ends a streak of need
+    while True:
+        for i in range(i, m):
+            c = pattern[i]
+            if c == pattern[k]:
                 k += 1
-                break
-            if k == 0:
-                break
-            k = fail[k - 1]
-        fail[i] = k
+                fail[i] = k
+                if i >= stop:
+                    break
+            else:
+                stop = i + need
+                while k:
+                    k = fail[k - 1]
+                    fallbacks += 1
+                    if c == pattern[k]:
+                        k += 1
+                        break
+                fail[i] = k
+        else:
+            break
+        i += 1
+        run = _agreement(pattern, i, pattern, k, m - i)
+        for s in range(0, run, _CAP):
+            e = min(s + _CAP, run)
+            fail[i + s:i + e] = range(k + 1 + s, k + 1 + e)
+        i += run
+        k += run
+        need = _PROBE if run else min(2 * need, _CAP)
+        stop = i - 1 + need
+
+    border = fail[m - 1]
+    p = m - border
     positions = []
     q = 0
-    for i in range(n):
-        ci = text[i]
-        while True:
-            comparisons += 1
-            if ci == pattern[q]:
+    i = 0
+    need = _PROBE
+    stop = need - 1
+    while True:
+        for i in range(i, n):
+            c = text[i]
+            if c == pattern[q]:
                 q += 1
-                break
-            if q == 0:
-                break
-            q = fail[q - 1]
+                if q == m:
+                    if i >= stop and n - i > _PROBE:
+                        break
+                    positions.append(i - m + 1)
+                    q = border
+                elif i >= stop:
+                    break
+            else:
+                stop = i + need
+                while q:
+                    q = fail[q - 1]
+                    fallbacks += 1
+                    if c == pattern[q]:
+                        q += 1
+                        break
+        else:
+            break
+        i += 1
+        if q < m:
+            run = _agreement(text, i, pattern, q, min(n - i, m - q))
+            i += run
+            q += run
+            need = _PROBE if run else min(2 * need, _CAP)
         if q == m:
-            positions.append(i - m + 1)
-            q = fail[q - 1]
-    return positions, comparisons
+            run = _agreement(text, i, text, i - p, n - i)
+            positions.extend(range(i - m, i - m + run + 1, p))
+            i += run
+            q = border + run % p
+            need = _PROBE if run else min(2 * need, _CAP)
+        stop = i - 1 + need
+    return positions, n + m - 1 + fallbacks
 
 
 def rotate_right(s: str, r: int) -> str:

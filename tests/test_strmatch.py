@@ -1,7 +1,10 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclorbit import rotate_right, rotation_exponents
+from cyclorbit import rotate_right, rotation_exponents, strmatch
 from cyclorbit.congruence import CostCounter
 from cyclorbit.oracle import brute_force_cycle_solutions
 from cyclorbit.strmatch import kmp_search_count
@@ -13,6 +16,72 @@ short_abc = st.text(alphabet="abc", min_size=1, max_size=64)
 def naive_occurrences(text, pattern):
     m = len(pattern)
     return [i for i in range(len(text) - m + 1) if text[i : i + m] == pattern]
+
+
+def reference_kmp_search_count(text, pattern):
+    """The per-symbol KMP loop that kmp_search_count replaced, kept as the count oracle."""
+    n = len(text)
+    m = len(pattern)
+    if m == 0:
+        raise ValueError("empty pattern")
+    fail = [0] * m
+    comparisons = 0
+    k = 0
+    for i in range(1, m):
+        ci = pattern[i]
+        while True:
+            comparisons += 1
+            if ci == pattern[k]:
+                k += 1
+                break
+            if k == 0:
+                break
+            k = fail[k - 1]
+        fail[i] = k
+    positions = []
+    q = 0
+    for i in range(n):
+        ci = text[i]
+        while True:
+            comparisons += 1
+            if ci == pattern[q]:
+                q += 1
+                break
+            if q == 0:
+                break
+            q = fail[q - 1]
+        if q == m:
+            positions.append(i - m + 1)
+            q = fail[q - 1]
+    return positions, comparisons
+
+
+@st.composite
+def search_pairs(draw):
+    """(text, pattern) of four kinds, texts of up to about 300 symbols."""
+    alpha = draw(st.sampled_from(["0", "01", "abc", "abαβ"]))
+    kind = draw(st.sampled_from(["random", "periodic", "rotation", "flipped"]))
+    if kind == "random":
+        text = draw(st.text(alphabet=alpha, max_size=300))
+        pattern = draw(st.text(alphabet=alpha, min_size=1, max_size=80))
+        return text, pattern
+    block = draw(st.text(alphabet=alpha, min_size=1, max_size=8))
+    k = draw(st.integers(1, 150))
+    if kind == "periodic" or (kind == "flipped" and draw(st.booleans())):
+        start = draw(st.integers(0, len(block) - 1))
+        text = (block * (300 // len(block) + 1))[: draw(st.integers(1, 300))]
+        pattern = (block * k)[start : start + k]
+    else:
+        if draw(st.booleans()):
+            pattern = (block * k)[:k]
+        else:
+            pattern = draw(st.text(alphabet=alpha, min_size=k, max_size=k))
+        text = rotate_right(pattern, draw(st.integers(0, k - 1))) * 2
+    if kind == "flipped":
+        j = draw(st.integers(0, len(text) - 1))
+        other = draw(st.sampled_from([c for c in alpha + "x" if c != text[j]]))
+        text = text[:j] + other + text[j + 1 :]
+    return text, pattern
 
 
 def test_running_example_match_positions():
@@ -45,6 +114,73 @@ def test_kmp_comparisons_linear(data):
     pattern = data.draw(st.text(alphabet=alpha, min_size=1, max_size=40))
     _, comparisons = kmp_search_count(text, pattern)
     assert comparisons <= 2 * (len(text) + len(pattern))
+
+
+@settings(max_examples=400)
+@given(search_pairs())
+def test_kmp_positions_and_count_equal_the_per_symbol_loop(pair):
+    text, pattern = pair
+    assert kmp_search_count(text, pattern) == reference_kmp_search_count(text, pattern)
+
+
+@settings(max_examples=400)
+@given(search_pairs(), st.integers(1, 4), st.integers(1, 4))
+def test_kmp_count_equal_with_tiny_probe_and_cap(pair, probe, cap):
+    # with the streak threshold and probe cap at 1-4, short strings reach the
+    # run skip in both phases, every doubling and the binary search
+    text, pattern = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strmatch, "_PROBE", probe)
+        mp.setattr(strmatch, "_CAP", cap)
+        assert kmp_search_count(text, pattern) == reference_kmp_search_count(text, pattern)
+
+
+def test_kmp_large_periodic_count_pinned():
+    vc = "011" * 10**5
+    text = rotate_right(vc, 7) * 2
+    positions, comparisons = kmp_search_count(text, vc)
+    assert positions == list(range(1, 3 * 10**5 + 1, 3))
+    assert comparisons == 899_999  # the per-symbol loop's count
+    assert (positions, comparisons) == reference_kmp_search_count(text, vc)
+
+
+def _random_rotation_pair(k):
+    rng = random.Random(0)
+    vc = "".join(rng.choice("01") for _ in range(k))
+    return rotate_right(vc, 12_345) * 2, vc
+
+
+# (text, pattern) builders, each with n + m >= 3 * 10**5: a^(k-1)b in a^2k,
+# 0^40 1 in (0^33 1)^N, (01)^20 2 in (01)^N, two rotation YES pairs, and ab
+# in (abc)^N, whose matches are one period apart but break at once
+ADVERSARIAL = {
+    "a-run-then-b": lambda: ("a" * 200_000, "a" * 99_999 + "b"),
+    "zero-runs-one-short": lambda: (("0" * 33 + "1") * 9000, "0" * 40 + "1"),
+    "alternating-then-2": lambda: ("01" * 150_000, "01" * 20 + "2"),
+    "random-yes": lambda: _random_rotation_pair(10**5),
+    "period-1-yes": lambda: ("0" * 200_000, "0" * 100_000),
+    "matches-without-runs": lambda: ("abc" * 100_000, "ab"),
+}
+
+
+@pytest.mark.parametrize("name", list(ADVERSARIAL))
+def test_run_probes_stay_logarithmic(name, monkeypatch):
+    # a probe fires only after a streak of first-try successes, and a probe
+    # that finds no run doubles the streak the next one needs, so inputs
+    # that would invite a probe per symbol pay a few in total
+    text, pattern = ADVERSARIAL[name]()
+    assert len(text) + len(pattern) >= 3 * 10**5
+    calls = 0
+    agreement = strmatch._agreement
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return agreement(*args)
+
+    monkeypatch.setattr(strmatch, "_agreement", counted)
+    kmp_search_count(text, pattern)
+    assert calls <= math.log2(len(text) + len(pattern))
 
 
 def test_rotate_right():

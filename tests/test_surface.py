@@ -29,6 +29,7 @@ from cyclorbit import (
     rotation_exponents,
     solve_system,
 )
+from cyclorbit.strmatch import kmp_search_count
 
 PUBLIC = {
     "BACKEND", "EMPTY", "NOT_IN_ORBIT", "ArithmeticProgression", "CongruenceSystem",
@@ -116,6 +117,10 @@ G2 = Permutation(2, [(1, 2)])
         pytest.param(lambda: rotate_right(list("abc"), 1), TypeError, id="rotate_right-list"),
         pytest.param(lambda: rotation_exponents(list("abc"), list("bca")), TypeError,
                      id="rotation_exponents-list"),
+        pytest.param(lambda: kmp_search_count(list("abcabc"), "bca"), TypeError,
+                     id="kmp_search_count-list-text"),
+        pytest.param(lambda: kmp_search_count("abcabc", list("bca")), TypeError,
+                     id="kmp_search_count-list-pattern"),
         pytest.param(lambda: solve_system(((1.5, 2),)), TypeError, id="solve_system-float"),
         pytest.param(lambda: solve_system(((1, 0),)), TypeError, id="solve_system-modulus-0"),
         pytest.param(lambda: decide_solvable(((5, 3), (2, 3))), TypeError,
