@@ -130,11 +130,13 @@ def at_least(value, low: int, what: str) -> int:
 def parse_int(token: str, what: str) -> int:
     """int(token), or a ValueError that names what and echoes at most a
     clipped token.  A decimal past the interpreter's digit limit is reported
-    by its digit count."""
-    try:
-        return int(token)
-    except ValueError:
-        pass
+    by its digit count.  Python's digit separator _ is refused, as cycle
+    notation refuses it."""
+    if "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
     digits = token.strip()
     if digits[:1] in ("+", "-"):
         digits = digits[1:]

@@ -88,10 +88,11 @@ def reduce(
             return None
         a_i = exponents[0]
         b_i = exponents[1] - a_i if len(exponents) > 1 else k
-        # the admissible rotations of one cycle are evenly spaced and the gap
-        # divides k; read against a range, so no second k-long tuple is built
+        # the admissible rotations of one cycle start below their gap, are
+        # evenly spaced by it, and the gap divides k; read against a range, so
+        # no second k-long tuple is built
         if (
-            b_i < 1
+            not 0 <= a_i < b_i
             or k % b_i
             or len(exponents) != len(r := range(a_i, k, b_i))
             or any(map(ne, exponents, r))

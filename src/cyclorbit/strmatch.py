@@ -3,48 +3,40 @@
 kmp_search_count is Knuth-Morris-Pratt with the exact count of symbol
 comparisons the textbook per-symbol loop makes: n + (m - 1) first tests,
 one at each text position and at each pattern position after the first,
-plus one per fallback through the failure table.  Runs of first tests that
-succeed are measured in C by slice comparison (_agreement) once the loop
-has seen a streak of them, and after a full match Galil's rule finds the
-matches that follow one period apart in one such measurement.  Positions
-and count equal the per-symbol loop's on every input.
+plus one per fallback through the failure table.  Once the loop has seen a
+streak of first-try successes it measures the rest of the run in one call
+of _agreement, and after a full match Galil's rule finds the matches that
+follow one period apart in one such call.  Positions and count equal the
+per-symbol loop's on every input.
 """
 
 from operator import index
 
-# The first probe's length and the streak that triggers it, and the longest
-# slice one probe copies or one assignment fills.
+# The first step of a run measurement and the streak that triggers one, and
+# the most symbols one measurement covers.
 _PROBE = 32
 _CAP = 1 << 16
 
 
 def _agreement(a, i, b, j, limit):
-    """Length of the common prefix of a[i:i + limit] and b[j:j + limit].
+    """Length of the common prefix of a[i:i + limit] and b[j:j + limit], at most _CAP.
 
-    0 when the first min(_PROBE, limit) symbols already differ, which can
-    undercount a short common prefix; a caller that resumes symbol by symbol
-    loses nothing by that.  Otherwise the probe doubles up to _CAP symbols,
-    and a binary search inside the first probe that fails finds the exact
-    end.  Only slice comparisons are used, never str.find, so the counted
-    search shares no code with an uncounted find-based one.
+    Neither slice may be shorter than limit.  One loop of slice comparisons:
+    the step starts at _PROBE, doubles after a slice that matches and halves
+    after one that differs or would pass the limit, so the exact end takes
+    O(log _CAP) comparisons that copy O(run + _PROBE) symbols.  They are
+    str.startswith, never str.find, so the counted search shares no code
+    with an uncounted find-based one.
     """
-    step = min(_PROBE, limit)
-    if not a.startswith(b[j:j + step], i):
-        return 0
-    done = step
-    while done < limit:
-        step = min(2 * step, _CAP, limit - done)
-        if a.startswith(b[j + done:j + done + step], i + done):
+    limit = min(limit, _CAP)
+    done = 0
+    step = _PROBE
+    while step:
+        if step <= limit - done and a.startswith(b[j + done:j + done + step], i + done):
             done += step
-            continue
-        while step > 1:
-            half = step // 2
-            if a.startswith(b[j + done:j + done + half], i + done):
-                done += half
-                step -= half
-            else:
-                step = half
-        break
+            step *= 2
+        else:
+            step //= 2
     return done
 
 
@@ -60,16 +52,14 @@ def kmp_search_count(text, pattern):
     as they happen.
 
     A streak of need first-try successes (need starts at _PROBE; a success
-    reached after a fallback starts no streak) leaves the per-symbol loop
-    for one _agreement call that measures the rest of the run: in the
-    failure table it fills the run's consecutive values, in _CAP-long
-    slices, and in the scan it advances the state.  A full match that ends
-    such a streak, with at least _PROBE symbols still to read, follows
-    Galil's rule: with p = m - fail[m - 1] the next match starts p symbols
-    later for as long as text[j] == text[j - p], which one _agreement call
-    of the text against itself measures.  A call that finds no run doubles
-    need, up to _CAP, and one that finds a run resets it, so a text that
-    keeps breaking runs just past the streak pays few calls.
+    reached after a fallback starts no streak) hands the rest of the run to
+    one _agreement call: the failure table takes it in one slice assignment
+    and the scan advances its state by it.  A full match reached that way
+    follows Galil's rule: with p = m - fail[m - 1] the next match starts p
+    symbols later for as long as text[j] == text[j - p], which one call of
+    the text against itself measures.  A run of _PROBE or more resets need
+    and a shorter one doubles it, up to _CAP, so a text that keeps breaking
+    runs just past the streak pays few calls.
     """
     if not (isinstance(text, str) and isinstance(pattern, str)):
         raise TypeError(
@@ -106,12 +96,10 @@ def kmp_search_count(text, pattern):
             break
         i += 1
         run = _agreement(pattern, i, pattern, k, m - i)
-        for s in range(0, run, _CAP):
-            e = min(s + _CAP, run)
-            fail[i + s:i + e] = range(k + 1 + s, k + 1 + e)
+        fail[i:i + run] = range(k + 1, k + 1 + run)
         i += run
         k += run
-        need = _PROBE if run else min(2 * need, _CAP)
+        need = _PROBE if run >= _PROBE else min(2 * need, _CAP)
         stop = i - 1 + need
 
     border = fail[m - 1]
@@ -126,13 +114,11 @@ def kmp_search_count(text, pattern):
             c = text[i]
             if c == pattern[q]:
                 q += 1
+                if i >= stop:
+                    break
                 if q == m:
-                    if i >= stop and n - i > _PROBE:
-                        break
                     positions.append(i - m + 1)
                     q = border
-                elif i >= stop:
-                    break
             else:
                 stop = i + need
                 while q:
@@ -148,13 +134,12 @@ def kmp_search_count(text, pattern):
             run = _agreement(text, i, pattern, q, min(n - i, m - q))
             i += run
             q += run
-            need = _PROBE if run else min(2 * need, _CAP)
         if q == m:
             run = _agreement(text, i, text, i - p, n - i)
             positions.extend(range(i - m, i - m + run + 1, p))
             i += run
             q = border + run % p
-            need = _PROBE if run else min(2 * need, _CAP)
+        need = _PROBE if run >= _PROBE else min(2 * need, _CAP)
         stop = i - 1 + need
     return positions, n + m - 1 + fallbacks
 

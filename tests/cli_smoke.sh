@@ -1,0 +1,57 @@
+#!/usr/bin/env bash
+# Console-script smoke checks: the README's instance and system, its per-atom
+# crt-check, moduli in descending order, two EMPTY systems, an unwritable CSV
+# path, an out-of-range --max-i, a perm line that uses an index twice, 10,000
+# coprime lines, a YES and a NO instance of 200,000 symbols on one
+# 200,000-cycle within 20 s each, the 39-name public surface, and the modules
+# the CLI loads.
+#
+# Run it in an empty scratch directory, where it writes its input files:
+#   bash tests/cli_smoke.sh
+# $CYCLORBIT is the command, word-split so that timeout can run it (default
+# cyclorbit, e.g. "python -m cyclorbit.cli"); $PYTHON is the interpreter that
+# has cyclorbit importable (default python).
+set -eo pipefail
+CYCLORBIT=${CYCLORBIT:-cyclorbit}
+PYTHON=${PYTHON:-python}
+
+printf 'n 9\nalphabet 01\nperm (6,5,7,3,2,1)(4,8,9)\nv 010001111\nw 101110001\n' > instance.txt
+printf '1 mod 2\n1 mod 3\n' > sys.txt
+test "$($CYCLORBIT solve instance.txt)" = "YES r=1 solutions=1+6Z"
+test "$($CYCLORBIT oracle instance.txt)" = "YES r=1 solutions=1+6Z"
+test "$($CYCLORBIT congruence sys.txt)" = "1 + 6 Z"
+test "$($CYCLORBIT crt-check sys.txt)" = "$(printf 'SOLVABLE\np_max=3 e_max=1 bit_ops=35')"
+test "$($CYCLORBIT crt-check --verbose sys.txt)" = "$(printf 'SOLVABLE\np_max=3 e_max=1 bit_ops=35\n  1 mod 2^1: 7 bit ops\n  1 mod 3^1: 7 bit ops')"
+printf '1 mod 3\n1 mod 2\n' > descending.txt
+test "$($CYCLORBIT congruence descending.txt)" = "1 + 6 Z"
+printf '0 mod 2\n1 mod 4\n' > empty.txt
+printf '1 mod 6\n2 mod 6\n' > repeated.txt
+printf 'n 4\nalphabet 01\nperm (1,2)(2,3)\nv 0101\nw 1001\n' > reused.txt
+set +e
+empty_out="$($CYCLORBIT congruence empty.txt)"; empty_code=$?
+repeated_out="$($CYCLORBIT congruence repeated.txt)"; repeated_code=$?
+$CYCLORBIT bench --mode primorial --max-i 2 --repeats 1 --csv . > /dev/null; csv_code=$?
+max_i_err="$($CYCLORBIT bench --mode primorial --max-i 0 --repeats 1 2>&1 > /dev/null)"; max_i_code=$?
+reused_err="$($CYCLORBIT solve reused.txt 2>&1 > /dev/null)"; reused_code=$?
+set -e
+test "$empty_out" = "EMPTY"
+test "$empty_code" -eq 1
+test "$repeated_out" = "EMPTY"
+test "$repeated_code" -eq 1
+test "$csv_code" -eq 2
+test "$max_i_code" -eq 2
+test "$max_i_err" = "error: i_max must be >= 1, got 0"
+test "$reused_code" -eq 2
+test "$reused_err" = "error: line 3: index 2 already used (at position 6)"
+$PYTHON -c "from itertools import count, islice; from math import isqrt; print(*(f'1 mod {p}' for p in islice((p for p in count(3) if all(p % d for d in range(2, isqrt(p) + 1))), 10000)), sep='\n')" > primes.txt
+test "$(timeout 5 $CYCLORBIT crt-check primes.txt | head -n 1)" = "SOLVABLE"
+$PYTHON -c "n = 2 * 10**5; perm = '(' + ','.join(map(str, range(1, n + 1))) + ')'; [open(name + '.txt', 'w').write(f'n {n}\nalphabet 01\nperm {perm}\nv {v}\nw {w}\n') for name, v, w in (('periodic', '01' * (n // 2), '10' * (n // 2)), ('shifted', '0' * (n - 1) + '1', '0' * n))]"
+periodic_out="$(timeout 20 $CYCLORBIT solve periodic.txt)"
+set +e
+shifted_out="$(timeout 20 $CYCLORBIT solve shifted.txt)"; shifted_code=$?
+set -e
+test "$periodic_out" = "YES r=1 solutions=1+2Z"
+test "$shifted_out" = "NO"
+test "$shifted_code" -eq 1
+$PYTHON -c "import cyclorbit; assert len(cyclorbit.__all__) == 39 and not hasattr(cyclorbit, 'factorize')"
+$PYTHON -c "import sys, cyclorbit.cli; assert not {'cyclorbit.analysis', 'cyclorbit.bench', 'cyclorbit.crt_solver', 'cyclorbit.oracle'} & sys.modules.keys()"

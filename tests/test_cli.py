@@ -55,6 +55,9 @@ def test_parse_instance_errors():
         ("n 0\nalphabet 01\nperm \nv \nw \n", "line 1: n must be >= 1, got 0"),
         ("n 2\nalphabet \nperm \nv 01\nw 01\n", "line 2: alphabet is empty"),
         (f"n -{'9' * 5000}\nalphabet 01\nperm \nv 01\nw 01\n", "line 1: n has 5000 digits"),
+        # every number in a file has one grammar: no _ separators, as in perm
+        ("n 1_0\nalphabet 01\nperm \nv 01\nw 01\n", "line 1: n must be an integer, got '1_0'"),
+        ("n 10\nalphabet 01\nperm (1_0)\nv 01\nw 01\n", "line 3"),
     ]
     for text, fragment in cases:
         with pytest.raises(InstanceError) as exc:
@@ -215,6 +218,17 @@ def test_crt_check_big_prime_in_subprocess(tmp_path):
                           capture_output=True, text=True, timeout=10)
     assert done.returncode == EXIT_YES
     assert done.stdout.splitlines()[0] == "SOLVABLE"
+
+
+def test_console_smoke_script(tmp_path):
+    # the CI step's checks, run on the module instead of the installed script
+    src = os.path.dirname(os.path.dirname(cyclorbit.__file__))
+    script = os.path.join(os.path.dirname(__file__), "cli_smoke.sh")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHON": sys.executable,
+           "CYCLORBIT": f"{sys.executable} -m cyclorbit.cli"}
+    done = subprocess.run(["bash", "-x", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-3000:]  # the trace ends at the failed check
 
 
 def test_stirling_command(capsys):

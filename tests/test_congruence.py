@@ -104,6 +104,8 @@ def test_system_from_text_echoes_the_parsed_integers():
     for text, message in [
         ("05 mod 3", "line 1: residue 5 not in [0, 3)"),
         ("1 mod 2\n0 mod -0", "line 2: modulus must be >= 1, got 0"),
+        ("1_0 mod 1_1", "line 1: residue must be an integer, got '1_0'"),
+        ("1 mod 2\n1 mod 1_1", "line 2: modulus must be an integer, got '1_1'"),
     ]:
         with pytest.raises(SystemFormatError) as exc:
             CongruenceSystem.from_text(text)

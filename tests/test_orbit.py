@@ -143,6 +143,15 @@ def test_progression_check_reads_every_exponent(monkeypatch):
         reduce(Permutation(6, [range(1, 7)]), "0" * 6, "0" * 6)
 
 
+@pytest.mark.parametrize("exponents", [(3, 5), (-1, 1, 3, 5)])
+def test_progression_check_starts_below_the_gap(monkeypatch, exponents):
+    # both are range(a, 6, 2) with b | 6, but a residue outside [0, 2) is no
+    # progression the matcher can return, so reduce must refuse it itself
+    monkeypatch.setattr(orbit, "rotation_exponents", lambda vc, wc, counter=None: exponents)
+    with pytest.raises(RuntimeError, match="not a progression"):
+        reduce(Permutation(6, [range(1, 7)]), "0" * 6, "0" * 6)
+
+
 def test_solvable_per_cycle_but_empty_system():
     # each cycle alone admits rotations, yet no common exponent exists:
     # rotating only the 2-cycle forces x odd while the 4-cycle forces x = 0 mod 4

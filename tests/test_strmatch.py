@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclorbit import rotate_right, rotation_exponents, strmatch
 from cyclorbit.congruence import CostCounter
@@ -144,6 +144,65 @@ def test_kmp_large_periodic_count_pinned():
     assert (positions, comparisons) == reference_kmp_search_count(text, vc)
 
 
+class CountingStr(str):
+    """A str that counts its startswith calls, the slice comparisons of _agreement."""
+
+    comparisons = 0
+
+    def startswith(self, *args):
+        self.comparisons += 1
+        return super().startswith(*args)
+
+
+def naive_agreement(a, i, b, j, limit):
+    t = 0
+    while t < limit and a[i + t] == b[j + t]:
+        t += 1
+    return t
+
+
+@st.composite
+def agreement_args(draw):
+    """(a, i, b, j, limit) with both slices limit long: random, periodic or flipped."""
+    alpha = draw(st.sampled_from(["0", "01", "abc"]))
+    kind = draw(st.sampled_from(["random", "periodic", "flipped"]))
+    if kind == "random":
+        a = draw(st.text(alphabet=alpha, max_size=200))
+        b = draw(st.text(alphabet=alpha, max_size=200))
+        return a, 0, b, 0, min(len(a), len(b))
+    block = draw(st.text(alphabet=alpha, min_size=1, max_size=6))
+    a = b = (block * (200 // len(block) + 1))[: draw(st.integers(1, 200))]
+    if kind == "flipped":
+        t = draw(st.integers(0, len(a) - 1))
+        b = a[:t] + "x" + a[t + 1 :]
+    j = draw(st.integers(0, len(b)))
+    i = draw(st.sampled_from([draw(st.integers(0, len(a))), j % len(block)]))
+    limit = draw(st.integers(0, min(len(a) - i, len(b) - j)))
+    return a, i, b, j, limit
+
+
+def _flipped_zeros(flip, n=200_000):
+    return "0" * n, 0, "0" * flip + "1" + "0" * (n - flip - 1), 0, 150_000
+
+
+@settings(max_examples=400)
+@given(agreement_args(), st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4)))
+@example(_flipped_zeros(70_000), None)  # stops at the 64 Ki cap
+@example(_flipped_zeros(40_000), None)
+@example(_flipped_zeros(5), None)  # a run shorter than the first step
+def test_agreement_is_the_exact_capped_common_prefix(args, constants):
+    a, i, b, j, limit = args
+    a = CountingStr(a)
+    with pytest.MonkeyPatch.context() as mp:
+        if constants is not None:
+            mp.setattr(strmatch, "_PROBE", constants[0])
+            mp.setattr(strmatch, "_CAP", constants[1])
+        expected = min(naive_agreement(a, i, b, j, limit), strmatch._CAP)
+        assert strmatch._agreement(a, i, b, j, limit) == expected
+        # the step doubles, so a run takes logarithmically many slice comparisons
+        assert a.comparisons <= 3 * strmatch._CAP.bit_length()
+
+
 def _random_rotation_pair(k):
     rng = random.Random(0)
     vc = "".join(rng.choice("01") for _ in range(k))
@@ -181,6 +240,24 @@ def test_run_probes_stay_logarithmic(name, monkeypatch):
     monkeypatch.setattr(strmatch, "_agreement", counted)
     kmp_search_count(text, pattern)
     assert calls <= math.log2(len(text) + len(pattern))
+
+
+def test_long_runs_leave_the_per_symbol_loop(monkeypatch):
+    # on a period-1 YES nearly every symbol of the table and of the scan is
+    # measured by slice comparison, not stepped through one at a time
+    measured = 0
+    agreement = strmatch._agreement
+
+    def summed(*args):
+        nonlocal measured
+        run = agreement(*args)
+        measured += run
+        return run
+
+    monkeypatch.setattr(strmatch, "_agreement", summed)
+    text, pattern = ADVERSARIAL["period-1-yes"]()
+    kmp_search_count(text, pattern)
+    assert measured >= 0.99 * (len(text) + len(pattern))
 
 
 def test_rotate_right():
