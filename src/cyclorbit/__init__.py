@@ -51,48 +51,6 @@ __version__ = "0.1.0"
 # Every kernel is plain Python; callers that record the backend read this.
 BACKEND = "pure"
 
-__all__ = [
-    "BACKEND",
-    "EMPTY",
-    "NOT_IN_ORBIT",
-    "ArithmeticProgression",
-    "CongruenceSystem",
-    "CostCounter",
-    "CrtStats",
-    "Cycle",
-    "CycleNotationError",
-    "OrbitAnswer",
-    "OrderBoundExceeded",
-    "Permutation",
-    "SystemFormatError",
-    "apply",
-    "apply_power",
-    "brute_force_orbit",
-    "decide_orbit",
-    "decide_solvable",
-    "fit_polylog_exponent",
-    "format_permutation",
-    "harmonic_values",
-    "instance_size_bits",
-    "measure_average_cost",
-    "naive_intersection",
-    "order",
-    "parse_permutation",
-    "primorial_permutation",
-    "progression",
-    "project",
-    "ratio_band",
-    "reduce",
-    "rotate_right",
-    "rotation_exponents",
-    "run_primes_then_pairs_scaling",
-    "run_primorial_scaling",
-    "run_random_scaling",
-    "solve_system",
-    "verify_moment_identities",
-    "__version__",
-]
-
 # public name -> the module that defines it, imported when the name is first read
 _LAZY = {
     "fit_polylog_exponent": "analysis",
@@ -109,6 +67,36 @@ _LAZY = {
     "OrderBoundExceeded": "oracle",
     "brute_force_orbit": "oracle",
 }
+
+__all__ = [
+    "BACKEND",
+    "EMPTY",
+    "NOT_IN_ORBIT",
+    "ArithmeticProgression",
+    "CongruenceSystem",
+    "CostCounter",
+    "Cycle",
+    "CycleNotationError",
+    "OrbitAnswer",
+    "Permutation",
+    "SystemFormatError",
+    "apply",
+    "apply_power",
+    "decide_orbit",
+    "format_permutation",
+    "naive_intersection",
+    "order",
+    "parse_permutation",
+    "primorial_permutation",
+    "progression",
+    "project",
+    "reduce",
+    "rotate_right",
+    "rotation_exponents",
+    "solve_system",
+    "__version__",
+    *_LAZY,
+]
 
 
 def __getattr__(name):

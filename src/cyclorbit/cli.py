@@ -2,7 +2,9 @@
 
 Exit codes: 0 for YES / solvable / all checks passed, 1 for NO / empty /
 unsolvable, 2 for malformed or over-budget input, 3 when the brute-force
-oracle refuses because the group order exceeds its bound.
+oracle refuses because the group order exceeds its bound, and 141 (128 +
+SIGPIPE, as a shell reports a writer the pipe killed) when the reader of
+standard output closed it before the answer was written.
 
 Each subcommand imports the modules only it uses, so `solve` and
 `congruence` load the decision path alone.
@@ -11,6 +13,7 @@ Each subcommand imports the modules only it uses, so `solve` and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -255,7 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # fd 1 to devnull, so that the interpreter's exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,16 +9,18 @@ congruences rests on.
 
 Each input invariant has one check.  A Permutation is immutable, and its
 degree and indices, which must be ints (operator.index), are checked once
-when it is built: one pass over all its cycles checks each index's range,
-then one duplicate check counts the distinct indices.  A degree n of at
-most 32 times the number of indices marks each index in a bytearray(n),
-which costs no more than the ints themselves, and the Permutation keeps
-those marks, with its 1-cycles cleared, as its moved mask; a larger n, or a
-lone Cycle, puts them in one set.  check_configuration is the one check of a
-configuration: g a Permutation and the configuration a str (else
-TypeError) whose length is the degree.  parse_permutation reads
-whitespace-free cycle notation with the json module and leaves the rest,
-and every error, to a token scanner that keeps its own checks.
+when it is built: one loop reads its cycles, then one range test over all
+of them compares the least and the greatest index with [1, n], and one
+duplicate check counts the distinct indices.  A degree n of at most 32
+times the number of indices marks each index in a bytearray(n), which
+costs no more than the ints themselves, and the Permutation keeps those
+marks, with its 1-cycles cleared, as its moved mask; for a larger n, or a
+lone Cycle, the check is the ordered walk that names the first bad index.
+check_configuration is the one check of a configuration: g a Permutation
+and the configuration a str (else TypeError) whose length is the degree.
+parse_permutation reads whitespace-free cycle notation with the json
+module and leaves the rest, and every error, to a token scanner that keeps
+its own checks.
 """
 
 from __future__ import annotations
@@ -100,36 +102,30 @@ class Permutation:
 
 
 def _checked_cycles(cycles, n=math.inf) -> tuple[list[Cycle], bytearray | None]:
-    """Each cycle as a Cycle of ints, checked in one pass over all cycles
-    and one duplicate check: every index an int (operator.index, so a float
-    or a string raises TypeError), no cycle empty, every index in [1, n],
-    none used twice.  The ValueError names the first bad index in cycle
-    order.  Also returns the duplicate check's byte marks (see _marks), or
-    None when it used a set."""
+    """Each cycle as a Cycle of ints, read in one loop, then checked over all
+    cycles at once: every index an int (operator.index, so a float or a
+    string raises TypeError), no cycle empty, one range test for [1, n] and
+    one duplicate check.  The ValueError names the first bad index in cycle
+    order, also one read before a read error.  Also returns the duplicate
+    check's byte marks (see _marks), or None for an n above 32 times the
+    number of indices, where _name_first_bad is the duplicate check."""
     out = []
-    total = 0
-    for c in cycles:
-        # an index used twice in the cycles before an error is named first
-        try:
+    try:
+        for c in cycles:
             elems = tuple.__new__(Cycle, map(index, c))  # the one place a Cycle is made
-        except TypeError:
-            _name_first_bad(out, n)
-            raise
-        if not elems:
-            _name_first_bad(out, n)
-            raise ValueError("a cycle needs at least one element")
-        out.append(elems)
-        total += len(elems)
-        if min(elems) < 1 or max(elems) > n:
-            _name_first_bad(out, n)
-    # with no index used twice, the distinct indices number exactly the total
+            if not elems:
+                raise ValueError("a cycle needs at least one element")
+            out.append(elems)
+    except (TypeError, ValueError):
+        _name_first_bad(out, n)
+        raise
+    total = sum(map(len, out))
     marks = None
-    if n <= 32 * total:  # one byte per possible index costs less than the ints
+    # one byte per possible index costs less than the ints; with no index
+    # used twice, the marked indices number exactly the total
+    if out and min(map(min, out)) >= 1 and max(map(max, out)) <= n <= 32 * total:
         marks = _marks(out, n)
-        distinct = marks.count(1)
-    else:
-        distinct = len(set().union(*out))
-    if distinct != total:
+    if marks is None or marks.count(1) != total:
         _name_first_bad(out, n)
     return out, marks
 
@@ -145,7 +141,8 @@ def _marks(cycles, n) -> bytearray:
 
 def _name_first_bad(cycles, n) -> None:
     """Raise the ValueError for the first index of cycles, in cycle order,
-    that is outside [1, n] or used twice; return if there is none."""
+    that is outside [1, n] or used twice; return if there is none.  A whole
+    ordered check, it is the duplicate check for a degree too large to mark."""
     used = set()
     for e in (e for cycle in cycles for e in cycle):
         if not 1 <= e <= n:

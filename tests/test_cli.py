@@ -220,6 +220,32 @@ def test_crt_check_big_prime_in_subprocess(tmp_path):
     assert done.stdout.splitlines()[0] == "SOLVABLE"
 
 
+@pytest.mark.parametrize(
+    ("name", "text", "args"),
+    [
+        pytest.param("instance.txt", "n 9\nalphabet 01\nperm (6,5,7,3,2,1)(4,8,9)\n"
+                     "v 010001111\nw 101110001\n", ["solve"], id="solve"),
+        pytest.param("sys.txt", "1 mod 2\n1 mod 3\n", ["crt-check", "--verbose"],
+                     id="crt-check"),
+    ],
+)
+def test_closed_stdout_exits_141_quietly(tmp_path, name, text, args):
+    # an answer the reader never took reads neither as NO (1) nor as a traceback
+    path = write(tmp_path, name, text)
+    src = os.path.dirname(os.path.dirname(cyclorbit.__file__))
+    # buffered, as a console script's stdout to a pipe is, so the answer waits for a flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cyclorbit.cli", *args, path],
+                              env={**env, "PYTHONPATH": src}, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=10)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_console_smoke_script(tmp_path):
     # the CI step's checks, run on the module instead of the installed script
     src = os.path.dirname(os.path.dirname(cyclorbit.__file__))

@@ -79,6 +79,10 @@ def test_constructor_errors_name_one_clipped_index():
         (lambda: Permutation(3, [(2, 2, 9)]), "index 2 already used"),
         (lambda: Permutation(3, [(1, 5, 1)]), "index 5 outside [1, 3]"),
         (lambda: Permutation(3, [(1, 2), (), (0,)]), "a cycle needs at least one element"),
+        # a bad index read before a read error is named instead of it
+        (lambda: Permutation(3, [(2, 2), (1.5,)]), "index 2 already used"),
+        (lambda: Permutation(3, [(1, 4), ()]), "index 4 outside [1, 3]"),
+        (lambda: Permutation(10**30, [(7, 7), ("x",)]), "index 7 already used"),
         (lambda: Permutation(5, [(1, huge)]), f"index {clip(huge)} outside [1, 5]"),
         (lambda: Permutation(huge, [(0,)]), f"index 0 outside [1, {clip(huge)}]"),
         # past the int digit limit an index is named by its bit length
