@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 for YES / solvable / all checks passed, 1 for NO / empty /
-unsolvable, 2 for malformed or over-budget input, 3 when the brute-force
-oracle refuses because the group order exceeds its bound, and 141 (128 +
-SIGPIPE, as a shell reports a writer the pipe killed) when the reader of
-standard output closed it before the answer was written.
+Exit codes: 0 for YES / solvable / all checks passed / --help, 1 for NO /
+empty / unsolvable, 2 for malformed or over-budget input, a usage error or
+unwritable standard output, 3 when the brute-force oracle refuses because
+the group order exceeds its bound, and 141 (128 + SIGPIPE, as a shell
+reports a writer the pipe killed) when the reader closed standard output.
 
 Each subcommand imports the modules only it uses, so `solve` and
 `congruence` load the decision path alone.
@@ -99,10 +99,6 @@ def _read_text(path: str) -> str:
         raise InstanceError(f"{path} is not utf-8 text: {exc}") from None
 
 
-def load_instance(path: str) -> Instance:
-    return parse_instance_text(_read_text(path))
-
-
 def _write_csv(path: str, rows) -> None:
     import csv
 
@@ -124,7 +120,7 @@ def _print_answer(answer) -> None:
 
 
 def _cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
+    inst = parse_instance_text(_read_text(args.instance))
     answer = decide_orbit(inst.g, inst.v, inst.w)
     _print_answer(answer)
     return EXIT_YES if answer.in_orbit else EXIT_NO
@@ -133,7 +129,7 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     from .oracle import OrderBoundExceeded, brute_force_orbit
 
-    inst = load_instance(args.instance)
+    inst = parse_instance_text(_read_text(args.instance))
     try:
         answer = brute_force_orbit(inst.g, inst.v, inst.w, bound=args.bound)
     except OrderBoundExceeded as exc:
@@ -256,18 +252,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-        return code
-    except BrokenPipeError:
-        # fd 1 to devnull, so that the interpreter's exit flush cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
-    except ValueError as exc:
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:  # argparse exits 0 after --help, 2 after a usage error
+            return exc.code
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        finally:
+            sys.stdout.flush()  # on every way out, so a failed write raises here, not at exit
+    except OSError as exc:
+        with open(os.devnull, "wb") as devnull:  # so that the exit flush cannot raise again
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

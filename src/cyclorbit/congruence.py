@@ -262,12 +262,12 @@ def solve_system(
 ) -> ArithmeticProgression:
     """Intersection of all a_i + b_i * Z, folding in one distinct modulus at a time.
 
-    system must be a CongruenceSystem (else TypeError), whose constructor
-    is the one check of each equation; the fold checks none again.  A
-    first pass keeps one residue per modulus and returns EMPTY as soon as a
-    modulus comes back with another residue.  Then, starting from 0 + 1Z,
-    each distinct modulus in ascending order intersects a + bZ with
-    x = a_i (mod b_i):
+    system must be a CongruenceSystem, whose constructor is the one check
+    of each equation, and counter None or a CostCounter (else TypeError);
+    the fold checks neither again.  A first pass keeps one residue per
+    modulus and returns EMPTY as soon as a modulus comes back with another
+    residue.  Then, starting from 0 + 1Z, each distinct modulus in
+    ascending order intersects a + bZ with x = a_i (mod b_i):
     the step takes d, x = extended_gcd(b mod b_i, b_i) and
     c = (a_i - a) mod b_i, returns EMPTY unless d divides c, and else moves
     to a + y*b + b*(b_i/d) Z with y = x*(c/d) mod (b_i/d).  The empty
@@ -283,6 +283,8 @@ def solve_system(
     """
     if not isinstance(system, CongruenceSystem):
         raise TypeError(f"system must be a CongruenceSystem, got {type(system).__name__}")
+    if counter is not None and not isinstance(counter, CostCounter):
+        raise TypeError(f"counter must be a CostCounter, got {type(counter).__name__}")
     residues = {}
     for a_i, b_i in system:
         if counter is not None:
@@ -290,11 +292,9 @@ def solve_system(
         if residues.setdefault(b_i, a_i) != a_i:
             return EMPTY
     moduli = sorted(residues)
-    if counter is not None:
-        comparisons = len(moduli).bit_length()
-        for b_i in moduli:
-            for _ in range(comparisons):
-                counter.charge(b_i)
+    if counter is not None:  # the dedupe charged each modulus, so max_bits has its width
+        words = sum((b_i.bit_length() + WORD_BITS - 1) // WORD_BITS for b_i in moduli)
+        counter.add_word_ops(len(moduli).bit_length() * words)
     a, b = 0, 1
     for b_i in moduli:
         a_i = residues[b_i]

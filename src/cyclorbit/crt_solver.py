@@ -238,12 +238,14 @@ def decide_solvable(
     levels[q][e' - 1] == z'.  A stronger one must agree with z at level e,
     then its own reductions replace the table.  The first disagreement
     refutes the system, before later moduli are taken into the base.
-    TypeError unless system is a CongruenceSystem.
+    TypeError unless system is a CongruenceSystem and stats None or a CrtStats.
     """
     if not isinstance(system, CongruenceSystem):
         raise TypeError(f"system must be a CongruenceSystem, got {type(system).__name__}")
     if stats is None:
         stats = CrtStats()
+    elif not isinstance(stats, CrtStats):
+        raise TypeError(f"stats must be a CrtStats, got {type(stats).__name__}")
     levels = CoprimeBase()
     solvable = _scan(system, levels, stats)
     stats.p_max = max(stats.p_max, max(levels, default=0))

@@ -68,9 +68,12 @@ def reduce(
     None is returned as soon as either a fixed point of g disagrees between
     v and w or some cycle admits no rotation at all.  With multiple
     admissible rotations on a cycle the emitted modulus is their common gap,
-    which divides the cycle length.
+    which divides the cycle length.  counter must be None or a CostCounter
+    (else TypeError).
     """
     check_configuration(g, v, w)
+    if counter is not None and not isinstance(counter, CostCounter):
+        raise TypeError(f"counter must be a CostCounter, got {type(counter).__name__}")
     fixed = g.moved_mask().translate(_FIXED)
     if counter is not None:
         counter.add_word_ops(g.n)

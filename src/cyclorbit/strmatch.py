@@ -12,6 +12,8 @@ per-symbol loop's on every input.
 
 from operator import index
 
+from .congruence import CostCounter
+
 # The first step of a run measurement and the streak that triggers one, and
 # the most symbols one measurement covers.
 _PROBE = 32
@@ -161,11 +163,14 @@ def rotation_exponents(vc: str, wc: str, counter=None) -> tuple[int, ...]:
     Found by matching vc inside the doubled wc: an occurrence at 0-based
     offset p means vc is wc rotated left p times, i.e. wc == rotate_right(vc, p).
     In the 2k symbols of the doubled wc the only offset >= k is k itself,
-    which repeats offset 0 and is dropped.  If a counter is given it is
-    charged one word op per symbol comparison.
+    which repeats offset 0 and is dropped.  If a counter is given (a
+    CostCounter, else TypeError) it is charged one word op per symbol
+    comparison.
     """
     if not (isinstance(vc, str) and isinstance(wc, str)):
         raise TypeError(f"projections must be str, got {type(vc).__name__}, {type(wc).__name__}")
+    if counter is not None and not isinstance(counter, CostCounter):
+        raise TypeError(f"counter must be a CostCounter, got {type(counter).__name__}")
     k = len(vc)
     if len(wc) != k:
         raise ValueError(f"projection lengths differ: {k} vs {len(wc)}")

@@ -227,6 +227,9 @@ def test_crt_check_big_prime_in_subprocess(tmp_path):
                      "v 010001111\nw 101110001\n", ["solve"], id="solve"),
         pytest.param("sys.txt", "1 mod 2\n1 mod 3\n", ["crt-check", "--verbose"],
                      id="crt-check"),
+        # argparse prints the help and exits before any command runs
+        pytest.param("instance.txt", "", ["--help"], id="help"),
+        pytest.param("instance.txt", "", ["solve", "--help"], id="solve-help"),
     ],
 )
 def test_closed_stdout_exits_141_quietly(tmp_path, name, text, args):
@@ -246,6 +249,22 @@ def test_closed_stdout_exits_141_quietly(tmp_path, name, text, args):
     assert (done.returncode, done.stderr) == (141, "")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_exits_2(tmp_path):
+    # a failed write is neither an answer (0 or 1) nor a traceback
+    path = write(tmp_path, "instance.txt", "n 9\nalphabet 01\nperm (6,5,7,3,2,1)(4,8,9)\n"
+                 "v 010001111\nw 101110001\n")
+    src = os.path.dirname(os.path.dirname(cyclorbit.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "cyclorbit.cli", "solve", path],
+                              env={**env, "PYTHONPATH": src}, stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=10)
+    assert done.returncode == EXIT_INPUT
+    assert "No space left on device" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_console_smoke_script(tmp_path):
     # the CI step's checks, run on the module instead of the installed script
     src = os.path.dirname(os.path.dirname(cyclorbit.__file__))
@@ -262,6 +281,23 @@ def test_stirling_command(capsys):
     out = capsys.readouterr().out
     assert out.startswith("OK")
     assert "125" in out  # 5 identities x 25 values
+
+
+def test_stirling_failures(capsys, monkeypatch):
+    import cyclorbit.analysis
+
+    exact = cyclorbit.analysis.harmonic_values
+
+    def shifted(n_max):  # H_2 off by one, so every n = 2 identity that reads H fails
+        harm = exact(n_max)
+        harm.h1[2] += 1
+        return harm
+
+    monkeypatch.setattr(cyclorbit.analysis, "harmonic_values", shifted)
+    assert main(["stirling", "--max-n", "3"]) == EXIT_NO
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL n=2 mean-cycles: 3/2 != 5/2"
+    assert len(lines) == 5 and all(line.startswith("FAIL n=2 ") for line in lines)
 
 
 def test_stirling_ratios(capsys):

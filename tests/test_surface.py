@@ -153,6 +153,15 @@ G2 = Permutation(2, [(1, 2)])
                      id="instance_size_bits-none-g"),
         pytest.param(lambda: brute_force_orbit(((1, 2, 3),), "abc", "bca"), TypeError,
                      id="brute_force_orbit-tuple-g"),
+        pytest.param(lambda: decide_orbit(G3, "abc", "bca", 5), TypeError,
+                     id="decide_orbit-int-counter"),
+        pytest.param(lambda: reduce(G3, "abc", "bca", "x"), TypeError, id="reduce-str-counter"),
+        pytest.param(lambda: solve_system(CongruenceSystem(((1, 2),)), 5), TypeError,
+                     id="solve_system-int-counter"),
+        pytest.param(lambda: rotation_exponents("ab", "ba", 5), TypeError,
+                     id="rotation_exponents-int-counter"),
+        pytest.param(lambda: decide_solvable(CongruenceSystem(((1, 2),)), 5), TypeError,
+                     id="decide_solvable-int-stats"),
     ],
 )
 def test_hostile_arguments_fail_typed(call, error):
