@@ -12,8 +12,8 @@ __all__ is the public surface: the decision and its pieces (reduce,
 rotation_exponents, solve_system, decide_solvable), their oracles, the
 types they take and return, and the measurements.  The kernels and tables
 behind them (extended_gcd, factorize, CoprimeBase, StirlingTable, ...)
-are imported from their modules.  A checked argument of the wrong type
-raises TypeError, and one out of range ValueError.
+are imported from their modules.  An argument of the wrong type raises a
+TypeError that names it, and an integer out of range a ValueError.
 
 Importing the package loads only the decision path (congruence,
 permutation, strmatch, orbit).  The names of the measurements (analysis,

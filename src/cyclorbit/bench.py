@@ -13,7 +13,7 @@ import statistics
 import time
 from dataclasses import astuple, dataclass, fields
 
-from .congruence import CostCounter, at_least
+from .congruence import CostCounter, at_least, expect
 from .orbit import decide_orbit
 from .permutation import (
     Permutation, apply_power, check_configuration, order, primorial_permutation,
@@ -176,6 +176,7 @@ def ratio_band(report: ScalingReport, window: float = 10.0) -> tuple[float, floa
     """(min, max) of word_ops / input_size_bits over the rows whose input size
     is within `window` of the largest; the spread across that band is the
     linearity check."""
+    expect(report, ScalingReport, "report")
     top = max(r.input_size_bits for r in report.rows)
     ratios = [
         r.word_ops / r.input_size_bits

@@ -206,8 +206,15 @@ def _cmd_bench(args) -> int:
     return EXIT_YES
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:  # argparse drops the OSError of its own write
+            return super()._print_message(message, file)
+        file.write(message)  # so that main sees a failed write of the help
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclorbit",
         description="Decide orbit membership under iterated permutations via linear congruences.",
     )

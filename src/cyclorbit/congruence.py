@@ -11,7 +11,8 @@ moduli sum to at most the degree, the fold is linear in the input.
 naive_intersection is the deliberately dumb oracle the solver is tested
 against.  at_least reads every integer argument with a lower bound in the
 package: a float or a string raises TypeError, a value below the bound
-ValueError.
+ValueError.  expect reads every other typed argument on the decision path:
+a value of another type raises TypeError, and an optional one may be None.
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ def at_least(value, low: int, what: str) -> int:
     return value
 
 
+def expect(value, kind: type, what: str, optional: bool = False):
+    """value if it is a kind (or None, when optional), else a TypeError naming what."""
+    if isinstance(value, kind) or (optional and value is None):
+        return value
+    raise TypeError(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
 def parse_int(token: str, what: str) -> int:
     """int(token), or a ValueError that names what and echoes at most a
     clipped token.  A decimal past the interpreter's digit limit is reported
@@ -219,6 +227,7 @@ class CongruenceSystem:
         line that does not parse is reported, the equations above it are
         checked.
         """
+        expect(text, str, "text")
         eqs = []
         for lineno, line in content_lines(text):
             parts = line.split()
@@ -281,10 +290,8 @@ def solve_system(
     for the dedupe and D*ceil(log2(D+1)) comparisons for sorting the D
     distinct moduli.
     """
-    if not isinstance(system, CongruenceSystem):
-        raise TypeError(f"system must be a CongruenceSystem, got {type(system).__name__}")
-    if counter is not None and not isinstance(counter, CostCounter):
-        raise TypeError(f"counter must be a CostCounter, got {type(counter).__name__}")
+    expect(system, CongruenceSystem, "system")
+    expect(counter, CostCounter, "counter", optional=True)
     residues = {}
     for a_i, b_i in system:
         if counter is not None:

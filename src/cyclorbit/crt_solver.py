@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from math import gcd, isqrt, prod
 
-from .congruence import CongruenceSystem, at_least
+from .congruence import CongruenceSystem, at_least, expect
 
 
 @dataclass
@@ -240,12 +240,9 @@ def decide_solvable(
     refutes the system, before later moduli are taken into the base.
     TypeError unless system is a CongruenceSystem and stats None or a CrtStats.
     """
-    if not isinstance(system, CongruenceSystem):
-        raise TypeError(f"system must be a CongruenceSystem, got {type(system).__name__}")
-    if stats is None:
+    expect(system, CongruenceSystem, "system")
+    if expect(stats, CrtStats, "stats", optional=True) is None:
         stats = CrtStats()
-    elif not isinstance(stats, CrtStats):
-        raise TypeError(f"stats must be a CrtStats, got {type(stats).__name__}")
     levels = CoprimeBase()
     solvable = _scan(system, levels, stats)
     stats.p_max = max(stats.p_max, max(levels, default=0))

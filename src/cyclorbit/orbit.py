@@ -19,6 +19,7 @@ from .congruence import (
     CongruenceSystem,
     CostCounter,
     clip,
+    expect,
     solve_system,
 )
 from .permutation import Configuration, Permutation, apply_power, check_configuration, project
@@ -34,6 +35,7 @@ class OrbitAnswer:
     solutions: ArithmeticProgression | None = None
 
     def __post_init__(self):
+        expect(self.solutions, ArithmeticProgression, "solutions", optional=True)
         if self.in_orbit:
             if self.solutions is None or self.solutions.is_empty:
                 raise ValueError("a positive answer needs a nonempty solution set")
@@ -72,8 +74,7 @@ def reduce(
     (else TypeError).
     """
     check_configuration(g, v, w)
-    if counter is not None and not isinstance(counter, CostCounter):
-        raise TypeError(f"counter must be a CostCounter, got {type(counter).__name__}")
+    expect(counter, CostCounter, "counter", optional=True)
     fixed = g.moved_mask().translate(_FIXED)
     if counter is not None:
         counter.add_word_ops(g.n)

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from operator import index, itemgetter
 
-from .congruence import at_least, clip, decimal, parse_int
+from .congruence import at_least, clip, decimal, expect, parse_int
 
 Configuration = str
 
@@ -181,26 +181,18 @@ def cycles_of_mapping(mapping):
     return out
 
 
-def _check_permutation(g) -> None:
-    if not isinstance(g, Permutation):
-        raise TypeError(f"g must be a Permutation, got {type(g).__name__}")
-
-
 def order(g: Permutation) -> int:
     """Order of the cyclic group <g>: the lcm of the cycle lengths."""
-    _check_permutation(g)
-    return math.lcm(*(len(c) for c in g.cycles))
+    return math.lcm(*(len(c) for c in expect(g, Permutation, "g").cycles))
 
 
 def check_configuration(g: Permutation, *configurations: Configuration) -> None:
     """Raise TypeError for a g that is not a Permutation or a configuration
     that is not a str, and ValueError naming the first configuration whose
     length is not g's degree."""
-    _check_permutation(g)
+    expect(g, Permutation, "g")
     for v in configurations:
-        if not isinstance(v, str):
-            raise TypeError(f"a configuration must be a str, got {type(v).__name__}")
-        if len(v) != g.n:
+        if len(expect(v, str, "configuration")) != g.n:
             raise ValueError(f"configuration length {len(v)} does not match degree {clip(g.n)}")
 
 
@@ -233,8 +225,7 @@ def apply_power(g: Permutation, r: int, v: Configuration) -> Configuration:
 def project(v: Configuration, c: Cycle) -> str:
     """v, a str, restricted to the cycle's indices, in the cycle's stored
     order.  A c that is not a Cycle is checked by making it one."""
-    if not isinstance(v, str):
-        raise TypeError(f"a configuration must be a str, got {type(v).__name__}")
+    expect(v, str, "v")
     if not isinstance(c, Cycle):
         c = Cycle(c)
     try:
@@ -246,7 +237,7 @@ def project(v: Configuration, c: Cycle) -> str:
 def format_permutation(g: Permutation) -> str:
     """Cycle notation, e.g. "(6,5,7,3,2,1)(4,8)"; the identity formats as "".
     Exact, so an index past the interpreter's digit limit raises a ValueError."""
-    _check_permutation(g)
+    expect(g, Permutation, "g")
     try:
         return "".join("(" + ",".join(map(str, c)) + ")" for c in g.cycles)
     except ValueError:  # then the largest index is past the limit

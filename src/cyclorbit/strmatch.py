@@ -12,7 +12,7 @@ per-symbol loop's on every input.
 
 from operator import index
 
-from .congruence import CostCounter
+from .congruence import CostCounter, expect
 
 # The first step of a run measurement and the streak that triggers one, and
 # the most symbols one measurement covers.
@@ -63,12 +63,8 @@ def kmp_search_count(text, pattern):
     and a shorter one doubles it, up to _CAP, so a text that keeps breaking
     runs just past the streak pays few calls.
     """
-    if not (isinstance(text, str) and isinstance(pattern, str)):
-        raise TypeError(
-            f"text and pattern must be str, got {type(text).__name__}, {type(pattern).__name__}"
-        )
-    n = len(text)
-    m = len(pattern)
+    n = len(expect(text, str, "text"))
+    m = len(expect(pattern, str, "pattern"))
     if m == 0:
         raise ValueError("empty pattern")
     fail = [0] * m
@@ -148,8 +144,7 @@ def kmp_search_count(text, pattern):
 
 def rotate_right(s: str, r: int) -> str:
     """s, a str, cyclically shifted right r times (the last symbol wraps to the front)."""
-    if not isinstance(s, str):
-        raise TypeError(f"s must be a str, got {type(s).__name__}")
+    expect(s, str, "s")
     r = index(r)
     if not s:
         return s
@@ -167,12 +162,9 @@ def rotation_exponents(vc: str, wc: str, counter=None) -> tuple[int, ...]:
     CostCounter, else TypeError) it is charged one word op per symbol
     comparison.
     """
-    if not (isinstance(vc, str) and isinstance(wc, str)):
-        raise TypeError(f"projections must be str, got {type(vc).__name__}, {type(wc).__name__}")
-    if counter is not None and not isinstance(counter, CostCounter):
-        raise TypeError(f"counter must be a CostCounter, got {type(counter).__name__}")
-    k = len(vc)
-    if len(wc) != k:
+    expect(counter, CostCounter, "counter", optional=True)
+    k = len(expect(vc, str, "vc"))
+    if len(expect(wc, str, "wc")) != k:
         raise ValueError(f"projection lengths differ: {k} vs {len(wc)}")
     if k == 0:
         raise ValueError("empty projection")

@@ -220,29 +220,44 @@ def test_crt_check_big_prime_in_subprocess(tmp_path):
     assert done.stdout.splitlines()[0] == "SOLVABLE"
 
 
+INSTANCE = "n 9\nalphabet 01\nperm (6,5,7,3,2,1)(4,8,9)\nv 010001111\nw 101110001\n"
+
+
+def stdout_env(buffering):
+    """The CLI child's environment: PYTHONPATH on this tree, and PYTHONUNBUFFERED
+    unset (buffered, as a console script's stdout to a pipe or file is) or
+    set to buffering."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cyclorbit.__file__))
+    if buffering:
+        env["PYTHONUNBUFFERED"] = buffering
+    return env
+
+
 @pytest.mark.parametrize(
-    ("name", "text", "args"),
+    ("name", "text", "args", "buffering"),
     [
-        pytest.param("instance.txt", "n 9\nalphabet 01\nperm (6,5,7,3,2,1)(4,8,9)\n"
-                     "v 010001111\nw 101110001\n", ["solve"], id="solve"),
-        pytest.param("sys.txt", "1 mod 2\n1 mod 3\n", ["crt-check", "--verbose"],
+        pytest.param("instance.txt", INSTANCE, ["solve"], None, id="solve"),
+        pytest.param("sys.txt", "1 mod 2\n1 mod 3\n", ["crt-check", "--verbose"], None,
                      id="crt-check"),
         # argparse prints the help and exits before any command runs
-        pytest.param("instance.txt", "", ["--help"], id="help"),
-        pytest.param("instance.txt", "", ["solve", "--help"], id="solve-help"),
+        pytest.param("instance.txt", "", ["--help"], None, id="help"),
+        pytest.param("instance.txt", "", ["solve", "--help"], None, id="solve-help"),
+        # unbuffered, each write meets the closed pipe at once, the help's included
+        pytest.param("instance.txt", INSTANCE, ["solve"], "1", id="solve-unbuffered"),
+        pytest.param("instance.txt", "", ["--help"], "1", id="help-unbuffered"),
+        pytest.param("instance.txt", "", ["solve", "--help"], "1", id="solve-help-unbuffered"),
+        pytest.param("instance.txt", "", ["bench", "--help"], "1", id="bench-help-unbuffered"),
     ],
 )
-def test_closed_stdout_exits_141_quietly(tmp_path, name, text, args):
+def test_closed_stdout_exits_141_quietly(tmp_path, name, text, args, buffering):
     # an answer the reader never took reads neither as NO (1) nor as a traceback
     path = write(tmp_path, name, text)
-    src = os.path.dirname(os.path.dirname(cyclorbit.__file__))
-    # buffered, as a console script's stdout to a pipe is, so the answer waits for a flush
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run([sys.executable, "-m", "cyclorbit.cli", *args, path],
-                              env={**env, "PYTHONPATH": src}, stdout=write_end,
+                              env=stdout_env(buffering), stdout=write_end,
                               stderr=subprocess.PIPE, text=True, timeout=10)
     finally:
         os.close(write_end)
@@ -250,15 +265,21 @@ def test_closed_stdout_exits_141_quietly(tmp_path, name, text, args):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_unwritable_stdout_exits_2(tmp_path):
-    # a failed write is neither an answer (0 or 1) nor a traceback
-    path = write(tmp_path, "instance.txt", "n 9\nalphabet 01\nperm (6,5,7,3,2,1)(4,8,9)\n"
-                 "v 010001111\nw 101110001\n")
-    src = os.path.dirname(os.path.dirname(cyclorbit.__file__))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+@pytest.mark.parametrize(
+    ("args", "buffering"),
+    [
+        pytest.param(["solve"], None, id="solve"),
+        pytest.param(["--help"], None, id="help"),
+        pytest.param(["solve"], "1", id="solve-unbuffered"),
+        pytest.param(["--help"], "1", id="help-unbuffered"),
+    ],
+)
+def test_unwritable_stdout_exits_2(tmp_path, args, buffering):
+    # a failed write, the help's included, is neither an answer (0 or 1) nor a traceback
+    path = write(tmp_path, "instance.txt", INSTANCE)
     with open("/dev/full", "w") as full:
-        done = subprocess.run([sys.executable, "-m", "cyclorbit.cli", "solve", path],
-                              env={**env, "PYTHONPATH": src}, stdout=full,
+        done = subprocess.run([sys.executable, "-m", "cyclorbit.cli", *args, path],
+                              env=stdout_env(buffering), stdout=full,
                               stderr=subprocess.PIPE, text=True, timeout=10)
     assert done.returncode == EXIT_INPUT
     assert "No space left on device" in done.stderr

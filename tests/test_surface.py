@@ -10,7 +10,9 @@ import pytest
 import cyclorbit
 from cyclorbit import (
     CongruenceSystem,
+    CostCounter,
     Cycle,
+    OrbitAnswer,
     Permutation,
     apply,
     apply_power,
@@ -24,11 +26,13 @@ from cyclorbit import (
     order,
     parse_permutation,
     project,
+    ratio_band,
     reduce,
     rotate_right,
     rotation_exponents,
     solve_system,
 )
+from cyclorbit.permutation import check_configuration
 from cyclorbit.strmatch import kmp_search_count
 
 PUBLIC = {
@@ -162,9 +166,59 @@ G2 = Permutation(2, [(1, 2)])
                      id="rotation_exponents-int-counter"),
         pytest.param(lambda: decide_solvable(CongruenceSystem(((1, 2),)), 5), TypeError,
                      id="decide_solvable-int-stats"),
+        pytest.param(lambda: CongruenceSystem.from_text(5), TypeError, id="from_text-int"),
+        pytest.param(lambda: ratio_band(None), TypeError, id="ratio_band-none"),
+        pytest.param(lambda: OrbitAnswer(True, 5), TypeError, id="OrbitAnswer-int-solutions"),
     ],
 )
 def test_hostile_arguments_fail_typed(call, error):
     # RuntimeError is kept for the library's own faults, so it must not show here
     with pytest.raises(error):
         call()
+
+
+SYSTEM = CongruenceSystem(((1, 2),))
+
+
+# one row per typed argument that congruence.expect reads
+@pytest.mark.parametrize(
+    ("call", "what", "got"),
+    [
+        pytest.param(lambda: kmp_search_count(list("ab"), "b"), "text", "list",
+                     id="kmp_search_count-text"),
+        pytest.param(lambda: kmp_search_count("ab", list("b")), "pattern", "list",
+                     id="kmp_search_count-pattern"),
+        pytest.param(lambda: rotate_right(b"ab", 1), "s", "bytes", id="rotate_right-s"),
+        pytest.param(lambda: rotation_exponents(list("ab"), "ba"), "vc", "list",
+                     id="rotation_exponents-vc"),
+        pytest.param(lambda: rotation_exponents("ab", list("ba")), "wc", "list",
+                     id="rotation_exponents-wc"),
+        pytest.param(lambda: rotation_exponents("ab", "ba", 5), "counter", "int",
+                     id="rotation_exponents-counter"),
+        pytest.param(lambda: solve_system(((1, 2),)), "system", "tuple", id="solve_system-system"),
+        pytest.param(lambda: solve_system(SYSTEM, 5), "counter", "int",
+                     id="solve_system-counter"),
+        pytest.param(lambda: reduce(G3, "abc", "bca", "x"), "counter", "str", id="reduce-counter"),
+        pytest.param(lambda: order([(1, 2)]), "g", "list", id="order-g"),
+        pytest.param(lambda: check_configuration(None, "ab"), "g", "NoneType",
+                     id="check_configuration-g"),
+        pytest.param(lambda: check_configuration(G2, "ab", list("ba")), "configuration", "list",
+                     id="check_configuration-configuration"),
+        pytest.param(lambda: format_permutation("(1,2)"), "g", "str", id="format_permutation-g"),
+        pytest.param(lambda: project(list("abc"), Cycle((1, 2))), "v", "list", id="project-v"),
+        pytest.param(lambda: decide_solvable(((1, 2),)), "system", "tuple",
+                     id="decide_solvable-system"),
+        pytest.param(lambda: decide_solvable(SYSTEM, CostCounter()), "stats", "CostCounter",
+                     id="decide_solvable-stats"),
+        pytest.param(lambda: CongruenceSystem.from_text(b"1 mod 2"), "text", "bytes",
+                     id="from_text-text"),
+        pytest.param(lambda: ratio_band(None), "report", "NoneType", id="ratio_band-report"),
+        pytest.param(lambda: OrbitAnswer(True, 5), "solutions", "int",
+                     id="OrbitAnswer-solutions"),
+    ],
+)
+def test_wrong_type_names_the_argument(call, what, got):
+    with pytest.raises(TypeError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{what} must be ") and got in message
