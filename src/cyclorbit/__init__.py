@@ -16,9 +16,10 @@ are imported from their modules.  An argument of the wrong type raises a
 TypeError that names it, and an integer out of range a ValueError.
 
 Importing the package loads only the decision path (congruence,
-permutation, strmatch, orbit).  The names of the measurements (analysis,
-bench), the oracle and the coprime-base solver (crt_solver) load their
-module the first time one of them is read.
+permutation, strmatch, orbit), and not dataclasses or inspect: its value
+types are plain classes on congruence.FrozenValue.  The names of the
+measurements (analysis, bench), the oracle and the coprime-base solver
+(crt_solver) load their module the first time one of them is read.
 """
 
 from .congruence import (

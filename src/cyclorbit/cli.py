@@ -15,9 +15,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
-from .congruence import CongruenceSystem, at_least, clip, content_lines, parse_int, solve_system
+from .congruence import (
+    CongruenceSystem,
+    FrozenValue,
+    at_least,
+    clip,
+    content_lines,
+    parse_int,
+    solve_system,
+)
 from .orbit import decide_orbit
 from .permutation import CycleNotationError, Permutation, parse_permutation
 
@@ -31,13 +38,20 @@ class InstanceError(ValueError):
     """Malformed instance file; message already carries line context."""
 
 
-@dataclass
 class Instance:
-    n: int
-    alphabet: str
-    g: Permutation
-    v: str
-    w: str
+    """A parsed instance.  Mutable, so it has no hash, but compared and shown
+    field by field as the package's frozen values are."""
+
+    _fields = __match_args__ = ("n", "alphabet", "g", "v", "w")
+    _values, __eq__, __repr__ = FrozenValue._values, FrozenValue.__eq__, FrozenValue.__repr__
+    __hash__ = None
+
+    def __init__(self, n: int, alphabet: str, g: Permutation, v: str, w: str):
+        self.n = n
+        self.alphabet = alphabet
+        self.g = g
+        self.v = v
+        self.w = w
 
 
 def parse_instance_text(text: str) -> Instance:
@@ -133,7 +147,7 @@ def _cmd_oracle(args) -> int:
     try:
         answer = brute_force_orbit(inst.g, inst.v, inst.w, bound=args.bound)
     except OrderBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_BOUND
     print(answer)
     return EXIT_YES if answer.in_orbit else EXIT_NO
@@ -258,6 +272,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence(stream) -> None:
+    """Point stream's file descriptor at os.devnull, so that the interpreter's
+    exit flush of what the stream still holds cannot raise again."""
+    with open(os.devnull, "wb") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
+def _error(message) -> None:
+    """Print message to standard error.  A write that fails is dropped, as
+    argparse drops its own, and main's last flush silences that stderr."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     try:
         try:
@@ -266,17 +296,21 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse exits 0 after --help, 2 after a usage error
             return exc.code
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _error(exc)
             return EXIT_INPUT
         finally:
             sys.stdout.flush()  # on every way out, so a failed write raises here, not at exit
     except OSError as exc:
-        with open(os.devnull, "wb") as devnull:  # so that the exit flush cannot raise again
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        _silence(sys.stdout)
         if isinstance(exc, BrokenPipeError):
             return 141
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_INPUT
+    finally:
+        try:  # stderr carries no answer, so its failure keeps the status
+            sys.stderr.flush()
+        except OSError:
+            _silence(sys.stderr)
 
 
 if __name__ == "__main__":

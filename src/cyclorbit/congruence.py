@@ -13,29 +13,83 @@ against.  at_least reads every integer argument with a lower bound in the
 package: a float or a string raises TypeError, a value below the bound
 ValueError.  expect reads every other typed argument on the decision path:
 a value of another type raises TypeError, and an optional one may be None.
+FrozenValue is the base of the package's immutable value types, written by
+hand so that importing the decision path does not load dataclasses.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from operator import index
 
 WORD_BITS = 64
 
 
-@dataclass(slots=True, eq=False)
+class FrozenValue:
+    """Base of the immutable value types.  A subclass names its fields in
+    _fields and sets them in __init__ with object.__setattr__; those fields
+    give it, as dataclass(frozen=True) would, equality with its own class
+    only, a hash, a repr such as ArithmeticProgression(offset=1, period=6)
+    and __match_args__.  Assigning or deleting an attribute raises
+    dataclasses.FrozenInstanceError, imported on that error path only.
+    pickle and copy rebuild a value by calling its class on its fields, so
+    its checks run again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 class CostCounter:
     """Tallies word operations and the widest operand seen.
 
     One arithmetic operation on B-bit operands is charged ceil(B / 64)
     units, so work on multi-word integers is billed proportionally to their
-    width.  add_word_ops charges flat units for symbol-level work.
+    width.  add_word_ops charges flat units for symbol-level work.  A
+    mutable tally, compared by identity.
     """
 
-    word_ops: int = field(default=0, init=False)
-    max_bits: int = field(default=0, init=False)
+    __slots__ = ("word_ops", "max_bits")
+
+    def __init__(self):
+        self.word_ops = 0
+        self.max_bits = 0
+
+    def __repr__(self):
+        return f"CostCounter(word_ops={self.word_ops!r}, max_bits={self.max_bits!r})"
 
     def charge(self, *operands: int):
         bits = 1
@@ -58,23 +112,21 @@ class CostCounter:
                 self.max_bits = b
 
 
-@dataclass(frozen=True)
-class ArithmeticProgression:
+class ArithmeticProgression(FrozenValue):
     """The set offset + period * Z, or the empty set when both fields are None.
 
     Nonempty progressions are canonical: period >= 1 and 0 <= offset < period.
     """
 
-    offset: int | None
-    period: int | None
+    _fields = ("offset", "period")
 
-    def __post_init__(self):
-        if (self.offset is None) != (self.period is None):
+    def __init__(self, offset: int | None, period: int | None):
+        if (offset is None) != (period is None):
             raise ValueError("offset and period must be both set or both None")
-        if self.period is not None:
-            offset, period = _check_residue(self.offset, self.period, "offset", "period")
-            object.__setattr__(self, "offset", offset)
-            object.__setattr__(self, "period", period)
+        if period is not None:
+            offset, period = _check_residue(offset, period, "offset", "period")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "period", period)
 
     @property
     def is_empty(self) -> bool:
@@ -193,20 +245,17 @@ def _report_first_bad_equation(text: str, eqs: list[tuple[int, int]]) -> None:
             raise SystemFormatError(str(exc), lineno) from None
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
+class CongruenceSystem(FrozenValue):
     """A conjunction of congruences x = a_i (mod b_i), each with 0 <= a_i < b_i.
 
     The equations are stored as read with operator.index, so a float or a
     string raises TypeError.
     """
 
-    equations: tuple[tuple[int, int], ...]
+    _fields = ("equations",)
 
-    def __post_init__(self):
-        equations = tuple(
-            _check_residue(a, b, "residue", "modulus") for a, b in self.equations
-        )
+    def __init__(self, equations: tuple[tuple[int, int], ...]):
+        equations = tuple(_check_residue(a, b, "residue", "modulus") for a, b in equations)
         object.__setattr__(self, "equations", equations)
 
     def __iter__(self):

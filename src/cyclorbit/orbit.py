@@ -10,7 +10,6 @@ x = a_i (mod b_i) and the orbit question becomes solvability of the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
@@ -18,6 +17,7 @@ from .congruence import (
     ArithmeticProgression,
     CongruenceSystem,
     CostCounter,
+    FrozenValue,
     clip,
     expect,
     solve_system,
@@ -26,21 +26,21 @@ from .permutation import Configuration, Permutation, apply_power, check_configur
 from .strmatch import rotation_exponents
 
 
-@dataclass(frozen=True)
-class OrbitAnswer:
+class OrbitAnswer(FrozenValue):
     """Outcome of an orbit decision: either no exponent works, or the full
     exponent set (an arithmetic progression) with its smallest member."""
 
-    in_orbit: bool
-    solutions: ArithmeticProgression | None = None
+    _fields = ("in_orbit", "solutions")
 
-    def __post_init__(self):
-        expect(self.solutions, ArithmeticProgression, "solutions", optional=True)
-        if self.in_orbit:
-            if self.solutions is None or self.solutions.is_empty:
+    def __init__(self, in_orbit: bool, solutions: ArithmeticProgression | None = None):
+        expect(solutions, ArithmeticProgression, "solutions", optional=True)
+        if in_orbit:
+            if solutions is None or solutions.is_empty:
                 raise ValueError("a positive answer needs a nonempty solution set")
-        elif self.solutions is not None:
+        elif solutions is not None:
             raise ValueError("a negative answer carries no solution set")
+        object.__setattr__(self, "in_orbit", in_orbit)
+        object.__setattr__(self, "solutions", solutions)
 
     @property
     def witness(self) -> int | None:

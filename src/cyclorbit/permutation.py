@@ -28,10 +28,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from operator import index, itemgetter
 
-from .congruence import at_least, clip, decimal, expect, parse_int
+from .congruence import FrozenValue, at_least, clip, decimal, expect, parse_int
 
 Configuration = str
 
@@ -66,28 +65,28 @@ class Cycle(tuple):
         return "(" + ",".join(map(decimal, self)) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class Permutation(FrozenValue):
     """A permutation of [1, n] given as a product of pairwise disjoint cycles.
 
     Cycles of length 1 are accepted but dropped: those indices become plain
     fixed points, as does every index not mentioned at all.
     """
 
-    n: int
-    cycles: tuple[Cycle, ...] = ()
-    # the duplicate check's byte marks with the 1-cycles cleared, or None
-    _moved: bytearray | None = field(init=False, repr=False, compare=False)
+    # _moved, the duplicate check's byte marks with the 1-cycles cleared (or
+    # None), is not a field: equality, hashing and repr do not read it
+    __slots__ = ("n", "cycles", "_moved")
+    _fields = ("n", "cycles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", at_least(self.n, 1, "degree"))
-        cycles, marks = _checked_cycles(self.cycles, self.n)
+    def __init__(self, n: int, cycles=()):
+        n = at_least(n, 1, "degree")
+        cycles, marks = _checked_cycles(cycles, n)
         moved = []
         for c in cycles:
             if len(c) >= 2:
                 moved.append(c)
             elif marks is not None:
                 marks[c[0] - 1] = 0
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "cycles", tuple(moved))
         object.__setattr__(self, "_moved", marks)
 

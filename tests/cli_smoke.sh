@@ -6,7 +6,8 @@
 # out-of-range --max-i, a perm line that uses an index twice, 10,000 coprime
 # lines read per atom by a reader that stops after one line, a YES and a NO
 # instance of 200,000 symbols on one 200,000-cycle within 20 s each, the
-# 39-name public surface, and the modules the CLI loads.
+# 39-name public surface, and the modules the CLI loads (neither the
+# deferred ones nor dataclasses and inspect).
 #
 # Run it in an empty scratch directory, where it writes its input files:
 #   bash tests/cli_smoke.sh
@@ -65,4 +66,4 @@ test "$periodic_out" = "YES r=1 solutions=1+2Z"
 test "$shifted_out" = "NO"
 test "$shifted_code" -eq 1
 $PYTHON -c "import cyclorbit; assert len(cyclorbit.__all__) == 39 and not hasattr(cyclorbit, 'factorize')"
-$PYTHON -c "import sys, cyclorbit.cli; assert not {'cyclorbit.analysis', 'cyclorbit.bench', 'cyclorbit.crt_solver', 'cyclorbit.oracle'} & sys.modules.keys()"
+$PYTHON -c "import sys, cyclorbit.cli; assert not {'cyclorbit.analysis', 'cyclorbit.bench', 'cyclorbit.crt_solver', 'cyclorbit.oracle', 'dataclasses', 'inspect'} & sys.modules.keys()"

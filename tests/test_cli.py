@@ -286,6 +286,18 @@ def test_unwritable_stdout_exits_2(tmp_path, args, buffering):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffering", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [[], ["solve", "missing.txt"]], ids=["usage", "missing-file"])
+def test_unwritable_stderr_keeps_exit_2(tmp_path, args, buffering):
+    # the error cannot be said, but the status names it whatever the buffering
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "cyclorbit.cli", *args], cwd=tmp_path,
+                              env=stdout_env(buffering), stdout=subprocess.PIPE, stderr=full,
+                              timeout=10)
+    assert (done.returncode, done.stdout) == (EXIT_INPUT, b"")
+
+
 def test_console_smoke_script(tmp_path):
     # the CI step's checks, run on the module instead of the installed script
     src = os.path.dirname(os.path.dirname(cyclorbit.__file__))

@@ -9,6 +9,7 @@ import pytest
 
 import cyclorbit
 from cyclorbit import (
+    ArithmeticProgression,
     CongruenceSystem,
     CostCounter,
     Cycle,
@@ -75,12 +76,13 @@ def test_internal_names_stay_in_their_modules():
 
 
 # the modules a decision runs; the measurements, the oracle and crt_solver
-# load when one of their names is first read
+# load when one of their names is first read, and dataclasses with them
 FOOTPRINT = """
 import sys
 import cyclorbit
 import cyclorbit.cli
 loaded = [m for m in sys.modules if m.startswith("cyclorbit.")]
+assert not {"dataclasses", "inspect"} & sys.modules.keys(), "the decision path loads dataclasses"
 assert set(cyclorbit.__all__) <= set(dir(cyclorbit)), "dir misses public names"
 from cyclorbit import analysis, bench, crt_solver, oracle
 print(*loaded)
@@ -169,6 +171,13 @@ G2 = Permutation(2, [(1, 2)])
         pytest.param(lambda: CongruenceSystem.from_text(5), TypeError, id="from_text-int"),
         pytest.param(lambda: ratio_band(None), TypeError, id="ratio_band-none"),
         pytest.param(lambda: OrbitAnswer(True, 5), TypeError, id="OrbitAnswer-int-solutions"),
+        pytest.param(lambda: Permutation(), TypeError, id="Permutation-no-degree"),
+        pytest.param(lambda: ArithmeticProgression(1), TypeError,
+                     id="ArithmeticProgression-no-period"),
+        pytest.param(lambda: OrbitAnswer(), TypeError, id="OrbitAnswer-no-in_orbit"),
+        pytest.param(lambda: Permutation(3, cycles=(), extra=1), TypeError,
+                     id="Permutation-unknown-keyword"),
+        pytest.param(lambda: CostCounter(0), TypeError, id="CostCounter-argument"),
     ],
 )
 def test_hostile_arguments_fail_typed(call, error):
