@@ -2,17 +2,20 @@
 
 Exit codes: 0 for YES / solvable / all checks passed / --help, 1 for NO /
 empty / unsolvable, 2 for malformed or over-budget input, a usage error or
-unwritable standard output, 3 when the brute-force oracle refuses because
-the group order exceeds its bound, and 141 (128 + SIGPIPE, as a shell
-reports a writer the pipe killed) when the reader closed standard output.
+standard output that is closed or cannot be written, 3 when the brute-force
+oracle refuses because the group order exceeds its bound, and 141 (128 +
+SIGPIPE) when the reader closed standard output.
 
-Each subcommand imports the modules only it uses, so `solve` and
-`congruence` load the decision path alone.
+main collects what a run prints, argparse's help included, and writes each
+stream once when the command ends.  Each subcommand imports the modules
+only it uses, so `solve` and `congruence` load the decision path alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 
@@ -22,6 +25,7 @@ from .congruence import (
     at_least,
     clip,
     content_lines,
+    expect,
     parse_int,
     solve_system,
 )
@@ -63,7 +67,7 @@ def parse_instance_text(text: str) -> Instance:
     """
     fields: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, line in content_lines(text):
+    for lineno, line in content_lines(expect(text, str, "text")):
         key, _, value = line.partition(" ")
         if key not in ("n", "alphabet", "perm", "v", "w"):
             raise InstanceError(f"line {lineno}: unknown key {clip(repr(key))}")
@@ -147,7 +151,7 @@ def _cmd_oracle(args) -> int:
     try:
         answer = brute_force_orbit(inst.g, inst.v, inst.w, bound=args.bound)
     except OrderBoundExceeded as exc:
-        _error(exc)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     print(answer)
     return EXIT_YES if answer.in_orbit else EXIT_NO
@@ -220,15 +224,8 @@ def _cmd_bench(args) -> int:
     return EXIT_YES
 
 
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message, file=None):
-        if file is not sys.stdout:  # argparse drops the OSError of its own write
-            return super()._print_message(message, file)
-        file.write(message)  # so that main sees a failed write of the help
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="cyclorbit",
         description="Decide orbit membership under iterated permutations via linear congruences.",
     )
@@ -272,45 +269,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _silence(stream) -> None:
-    """Point stream's file descriptor at os.devnull, so that the interpreter's
-    exit flush of what the stream still holds cannot raise again."""
-    with open(os.devnull, "wb") as devnull:
-        os.dup2(devnull.fileno(), stream.fileno())
-
-
-def _error(message) -> None:
-    """Print message to standard error.  A write that fails is dropped, as
-    argparse drops its own, and main's last flush silences that stderr."""
+def _write(stream, text: str) -> None:
+    """Write text to stream and flush it.  A failed write points the stream's
+    file descriptor at os.devnull, so that the interpreter's exit flush of
+    what the stream still holds cannot raise again."""
+    if not text:
+        return
+    if stream is None:  # its file descriptor was closed when the interpreter started
+        raise OSError("closed at startup")
     try:
-        print(f"error: {message}", file=sys.stderr)
+        stream.write(text)
+        stream.flush()
     except OSError:
-        pass
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+        raise
 
 
 def main(argv=None) -> int:
+    out, err = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()  # argparse's help and usage too
     try:
-        try:
-            args = build_parser().parse_args(argv)
-            return args.func(args)
-        except SystemExit as exc:  # argparse exits 0 after --help, 2 after a usage error
-            return exc.code
-        except ValueError as exc:
-            _error(exc)
-            return EXIT_INPUT
-        finally:
-            sys.stdout.flush()  # on every way out, so a failed write raises here, not at exit
-    except OSError as exc:
-        _silence(sys.stdout)
-        if isinstance(exc, BrokenPipeError):
-            return 141
-        _error(exc)
-        return EXIT_INPUT
+        args = build_parser().parse_args(argv)
+        status = args.func(args)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after a usage error
+        status = exc.code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = EXIT_INPUT
     finally:
-        try:  # stderr carries no answer, so its failure keeps the status
-            sys.stderr.flush()
-        except OSError:
-            _silence(sys.stderr)
+        text, message = sys.stdout.getvalue(), sys.stderr.getvalue()
+        sys.stdout, sys.stderr = out, err
+    try:
+        _write(out, text)
+    except BrokenPipeError:
+        status = 141
+    except OSError as exc:
+        status, message = EXIT_INPUT, f"{message}error: cannot write standard output: {exc}\n"
+    with contextlib.suppress(OSError):  # stderr carries no answer: its failure keeps the status
+        _write(err, message)
+    return status
 
 
 if __name__ == "__main__":

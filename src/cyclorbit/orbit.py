@@ -33,6 +33,7 @@ class OrbitAnswer(FrozenValue):
     _fields = ("in_orbit", "solutions")
 
     def __init__(self, in_orbit: bool, solutions: ArithmeticProgression | None = None):
+        expect(in_orbit, bool, "in_orbit")
         expect(solutions, ArithmeticProgression, "solutions", optional=True)
         if in_orbit:
             if solutions is None or solutions.is_empty:

@@ -266,6 +266,7 @@ def parse_permutation(text: str, n: int) -> Permutation:
     the token scanner, which finds and reports the problem, so both paths
     give the same result or the same error.
     """
+    expect(text, str, "text")
     if text[:1] == "(" and text[-1:] == ")" and not text.translate(_NOT_NOTATION):
         try:
             return Permutation(n, json.loads("[[" + text[1:-1].replace(")(", "],[") + "]]"))

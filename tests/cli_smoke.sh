@@ -2,7 +2,8 @@
 # Console-script smoke checks: the README's instance and system, its per-atom
 # crt-check, moduli in descending order, two EMPTY systems, an unwritable CSV
 # path, standard output on /dev/full (for an answer, and for --help with
-# PYTHONUNBUFFERED=1, whose failed write argparse alone would drop), an
+# PYTHONUNBUFFERED=1, whose failed write argparse alone would drop) and
+# closed (>&-, which leaves the interpreter no sys.stdout), an
 # out-of-range --max-i, a perm line that uses an index twice, 10,000 coprime
 # lines read per atom by a reader that stops after one line, a YES and a NO
 # instance of 200,000 symbols on one 200,000-cycle within 20 s each, the
@@ -36,6 +37,7 @@ repeated_out="$($CYCLORBIT congruence repeated.txt)"; repeated_code=$?
 $CYCLORBIT bench --mode primorial --max-i 2 --repeats 1 --csv . > /dev/null; csv_code=$?
 full_err="$($CYCLORBIT solve instance.txt 2>&1 > /dev/full)"; full_code=$?
 help_err="$(PYTHONUNBUFFERED=1 $CYCLORBIT --help 2>&1 > /dev/full)"; help_code=$?
+closed_err="$($CYCLORBIT solve instance.txt 2>&1 >&-)"; closed_code=$?
 max_i_err="$($CYCLORBIT bench --mode primorial --max-i 0 --repeats 1 2>&1 > /dev/null)"; max_i_code=$?
 reused_err="$($CYCLORBIT solve reused.txt 2>&1 > /dev/null)"; reused_code=$?
 set -e
@@ -48,6 +50,8 @@ test "$full_code" -eq 2
 [[ $full_err == error:* && $full_err != *Traceback* ]]
 test "$help_code" -eq 2
 [[ $help_err == error:* && $help_err != *Traceback* ]]
+test "$closed_code" -eq 2
+[[ $closed_err == error:* && $closed_err != *Traceback* ]]
 test "$max_i_code" -eq 2
 test "$max_i_err" = "error: i_max must be >= 1, got 0"
 test "$reused_code" -eq 2

@@ -298,6 +298,63 @@ def test_unwritable_stderr_keeps_exit_2(tmp_path, args, buffering):
     assert (done.returncode, done.stdout) == (EXIT_INPUT, b"")
 
 
+@pytest.mark.parametrize(
+    ("text", "args"),
+    [
+        pytest.param(INSTANCE, ["solve"], id="solve-yes"),
+        pytest.param(INSTANCE.replace("w 101110001", "w 101110000"), ["solve"], id="solve-no"),
+        pytest.param("", ["--help"], id="help"),
+    ],
+)
+def test_closed_fd1_exits_2(tmp_path, text, args):
+    # fd 1 closed before the interpreter starts leaves sys.stdout None: neither
+    # an answer (0 or 1) nor a traceback
+    path = write(tmp_path, "instance.txt", text)
+    done = subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "cyclorbit.cli",
+                           *args, path], env=stdout_env(None), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=10)
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr == "error: cannot write standard output: closed at startup\n"
+
+
+def test_closed_stdout_in_process(tmp_path, capsys, monkeypatch):
+    # a run with nothing for stdout loses nothing, so it keeps its status
+    path = write(tmp_path, "inst.txt", EXAMPLE)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["solve", path]) == EXIT_INPUT
+    assert main(["oracle", path, "--bound", "1"]) == EXIT_BOUND
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot write standard output: closed at startup",
+        "error: order 6 exceeds the bound 1",
+    ]
+    assert sys.stdout is None
+
+
+def test_main_restores_streams(tmp_path, monkeypatch):
+    path = write(tmp_path, "inst.txt", EXAMPLE)
+    streams = sys.stdout, sys.stderr
+    for args in (["solve", path], ["solve", "missing.txt"], ["--help"], []):
+        main(args)
+        assert (sys.stdout, sys.stderr) == streams, args
+
+    def fault(*args):
+        raise RuntimeError("fault")
+
+    monkeypatch.setattr("cyclorbit.cli.decide_orbit", fault)
+    with pytest.raises(RuntimeError, match="fault"):
+        main(["solve", path])
+    assert (sys.stdout, sys.stderr) == streams
+
+
+def test_both_streams_delivered(tmp_path, capsys):
+    # the table is printed before the CSV write fails, and both reach their stream
+    assert main(["bench", "--mode", "primorial", "--max-i", "2",
+                 "--repeats", "1", "--csv", str(tmp_path)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out.startswith("   label   degree") and "ops/bit band" in out
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
 def test_console_smoke_script(tmp_path):
     # the CI step's checks, run on the module instead of the installed script
     src = os.path.dirname(os.path.dirname(cyclorbit.__file__))

@@ -26,6 +26,7 @@ from cyclorbit import (
     naive_intersection,
     order,
     parse_permutation,
+    progression,
     project,
     ratio_band,
     reduce,
@@ -33,6 +34,7 @@ from cyclorbit import (
     rotation_exponents,
     solve_system,
 )
+from cyclorbit.cli import parse_instance_text
 from cyclorbit.permutation import check_configuration
 from cyclorbit.strmatch import kmp_search_count
 
@@ -171,6 +173,12 @@ G2 = Permutation(2, [(1, 2)])
         pytest.param(lambda: CongruenceSystem.from_text(5), TypeError, id="from_text-int"),
         pytest.param(lambda: ratio_band(None), TypeError, id="ratio_band-none"),
         pytest.param(lambda: OrbitAnswer(True, 5), TypeError, id="OrbitAnswer-int-solutions"),
+        pytest.param(lambda: OrbitAnswer("yes", progression(0, 1)), TypeError,
+                     id="OrbitAnswer-str-in_orbit"),
+        pytest.param(lambda: parse_permutation(5, 3), TypeError, id="parse_permutation-int"),
+        pytest.param(lambda: parse_permutation(b"(1,2)", 3), TypeError,
+                     id="parse_permutation-bytes"),
+        pytest.param(lambda: parse_instance_text(5), TypeError, id="parse_instance_text-int"),
         pytest.param(lambda: Permutation(), TypeError, id="Permutation-no-degree"),
         pytest.param(lambda: ArithmeticProgression(1), TypeError,
                      id="ArithmeticProgression-no-period"),
@@ -224,6 +232,13 @@ SYSTEM = CongruenceSystem(((1, 2),))
         pytest.param(lambda: ratio_band(None), "report", "NoneType", id="ratio_band-report"),
         pytest.param(lambda: OrbitAnswer(True, 5), "solutions", "int",
                      id="OrbitAnswer-solutions"),
+        pytest.param(lambda: OrbitAnswer("yes", progression(0, 1)), "in_orbit", "str",
+                     id="OrbitAnswer-in_orbit"),
+        pytest.param(lambda: parse_permutation(5, 3), "text", "int", id="parse_permutation-text"),
+        pytest.param(lambda: parse_permutation(b"(1,2)", 3), "text", "bytes",
+                     id="parse_permutation-bytes-text"),
+        pytest.param(lambda: parse_instance_text(5), "text", "int",
+                     id="parse_instance_text-text"),
     ],
 )
 def test_wrong_type_names_the_argument(call, what, got):
