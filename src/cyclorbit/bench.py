@@ -165,6 +165,7 @@ def run_random_scaling(
 ) -> ScalingReport:
     """Decide one in-orbit instance per size over uniform random permutations."""
     repeats = at_least(repeats, 1, "repeats")
+    sizes = [at_least(n, 1, "size") for n in sizes]
     rows = []
     for idx, n in enumerate(sizes):
         g, v, r_star, w = _random_orbit_instance(n, rng_seed, idx)
@@ -177,7 +178,7 @@ def ratio_band(report: ScalingReport, window: float = 10.0) -> tuple[float, floa
     is within `window` of the largest; the spread across that band is the
     linearity check."""
     expect(report, ScalingReport, "report")
-    top = max(r.input_size_bits for r in report.rows)
+    top = max((r.input_size_bits for r in report.rows), default=0)
     ratios = [
         r.word_ops / r.input_size_bits
         for r in report.rows

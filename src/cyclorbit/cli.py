@@ -3,8 +3,8 @@
 Exit codes: 0 for YES / solvable / all checks passed / --help, 1 for NO /
 empty / unsolvable, 2 for malformed or over-budget input, a usage error or
 standard output that is closed or cannot be written, 3 when the brute-force
-oracle refuses because the group order exceeds its bound, and 141 (128 +
-SIGPIPE) when the reader closed standard output.
+oracle refuses an order past its bound or n * order steps past 10^8, and
+141 (128 + SIGPIPE) when the reader closed standard output.
 
 main collects what a run prints, argparse's help included, and writes each
 stream once when the command ends.  Each subcommand imports the modules
@@ -63,48 +63,48 @@ def parse_instance_text(text: str) -> Instance:
 
     Required keys, one per line: n, alphabet, perm, v, w.  Blank lines and
     lines starting with # are skipped.  perm takes cycle notation and may
-    be empty for the identity.
+    be empty for the identity.  A line ends at a newline, and only spaces
+    and tabs around a key or a value are dropped: any other character,
+    non-ASCII whitespace included, can be a symbol.
     """
-    fields: dict[str, str] = {}
-    lines: dict[str, int] = {}
+    fields: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, line in content_lines(expect(text, str, "text")):
         key, _, value = line.partition(" ")
         if key not in ("n", "alphabet", "perm", "v", "w"):
             raise InstanceError(f"line {lineno}: unknown key {clip(repr(key))}")
         if key in fields:
             raise InstanceError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = value.strip()
-        lines[key] = lineno
+        fields[key] = lineno, value.lstrip(" \t")
     for key in ("n", "alphabet", "perm", "v", "w"):
         if key not in fields:
             raise InstanceError(f"missing key {key!r}")
+
+    def error(key: str, message) -> InstanceError:
+        return InstanceError(f"line {fields[key][0]}: {message}")
+
     try:
-        n = at_least(parse_int(fields["n"], "n"), 1, "n")
+        n = at_least(parse_int(fields["n"][1], "n"), 1, "n")
     except ValueError as exc:
-        raise InstanceError(f"line {lines['n']}: {exc}") from None
-    alphabet = fields["alphabet"]
+        raise error("n", exc) from None
+    alphabet = fields["alphabet"][1]
+    outside = str.maketrans("", "", alphabet)  # one entry, a deletion, per distinct symbol
     if not alphabet:
-        raise InstanceError(f"line {lines['alphabet']}: alphabet is empty")
-    symbols = set(alphabet)
-    if len(symbols) != len(alphabet):
-        raise InstanceError(f"line {lines['alphabet']}: repeated alphabet symbol")
+        raise error("alphabet", "alphabet is empty")
+    if len(outside) != len(alphabet):
+        raise error("alphabet", "repeated alphabet symbol")
     try:
-        g = parse_permutation(fields["perm"], n)
+        g = parse_permutation(fields["perm"][1], n)
     except CycleNotationError as exc:
-        raise InstanceError(f"line {lines['perm']}: {exc}") from None
-    for key in ("v", "w"):
-        value = fields[key]
+        raise error("perm", exc) from None
+    v, w = fields["v"][1], fields["w"][1]
+    for key, value in (("v", v), ("w", w)):
         if len(value) != n:
-            raise InstanceError(
-                f"line {lines[key]}: {key} has length {len(value)}, expected {clip(n)}"
-            )
-        if not set(value) <= symbols:
-            pos, ch = next((pos, ch) for pos, ch in enumerate(value) if ch not in symbols)
-            raise InstanceError(
-                f"line {lines[key]}: {key} has symbol {ch!r} outside the "
-                f"alphabet (at position {pos})"
-            )
-    return Instance(n, alphabet, g, fields["v"], fields["w"])
+            raise error(key, f"{key} has length {len(value)}, expected {clip(n)}")
+        foreign = value.translate(outside)
+        if foreign:
+            raise error(key, f"{key} has symbol {foreign[0]!r} outside the "
+                             f"alphabet (at position {value.index(foreign[0])})")
+    return Instance(n, alphabet, g, v, w)
 
 
 def _read_text(path: str) -> str:
@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="decide an instance by brute-force enumeration")
     p.add_argument("instance")
     p.add_argument("--bound", type=int, default=10**6,
-                   help="refuse when order(g) exceeds this (default 1e6)")
+                   help="refuse when order(g) exceeds this (default 1e6); "
+                        "n * order(g) past 1e8 is refused too")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("congruence", help="solve a congruence system ('a mod b' lines)")

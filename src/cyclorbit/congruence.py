@@ -30,8 +30,9 @@ class FrozenValue:
     """Base of the immutable value types.  A subclass names its fields in
     _fields and sets them in __init__ with object.__setattr__; those fields
     give it, as dataclass(frozen=True) would, equality with its own class
-    only, a hash, a repr such as ArithmeticProgression(offset=1, period=6)
-    and __match_args__.  Assigning or deleting an attribute raises
+    only, a hash, a repr such as ArithmeticProgression(offset=1, period=6),
+    whose ints are written by decimal so that it never raises, and
+    __match_args__.  Assigning or deleting an attribute raises
     dataclasses.FrozenInstanceError, imported on that error path only.
     pickle and copy rebuild a value by calling its class on its fields, so
     its checks run again.
@@ -56,7 +57,7 @@ class FrozenValue:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_show(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -164,6 +165,13 @@ def decimal(value: int) -> str:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
+def _show(value) -> str:
+    """repr(value), with each int, in plain tuples too, written by decimal."""
+    if type(value) is tuple:
+        return f"({', '.join(map(_show, value))}{',' if len(value) == 1 else ''})"
+    return decimal(value) if isinstance(value, int) else repr(value)
+
+
 def clip(value) -> str:
     """str(value) for an error message, cut off past 40 characters and counted;
     an int is written by decimal, so clip never raises on an int."""
@@ -209,10 +217,10 @@ def parse_int(token: str, what: str) -> int:
 
 
 def content_lines(text: str):
-    """(1-based line number, stripped line) for each line of text that is
-    neither blank nor a # comment."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+    r"""(1-based number, line) for each line of text, split at "\n" only and
+    stripped of spaces, tabs and "\r" alone, that is neither blank nor a # comment."""
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip(" \t\r")
         if line and not line.startswith("#"):
             yield lineno, line
 

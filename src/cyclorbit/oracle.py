@@ -16,10 +16,12 @@ from .permutation import Configuration, Permutation, order
 from .strmatch import rotate_right
 
 DEFAULT_BOUND = 10**6
+WORK_BOUND = 10**8  # symbol-steps, a few seconds of orbit_scan
 
 
 class OrderBoundExceeded(RuntimeError):
-    """order(g) is too large for exhaustive enumeration."""
+    """order(g), or the n * order(g) symbol-steps of its scan, is too large
+    for exhaustive enumeration."""
 
 
 def brute_force_cycle_solutions(vc: str, wc: str) -> tuple[int, ...]:
@@ -60,7 +62,8 @@ def brute_force_orbit(
 ) -> OrbitAnswer:
     """Exact orbit answer by enumerating every exponent in [0, order(g)).
 
-    Raises OrderBoundExceeded when order(g) > bound rather than silently
+    Raises OrderBoundExceeded when order(g) > bound, or when the scan's
+    n * order(g) symbol-steps exceed WORK_BOUND, rather than silently
     truncating the scan.  TypeError unless g is a Permutation, v and w are
     str and bound an int.
     """
@@ -75,6 +78,11 @@ def brute_force_orbit(
     n_steps = order(g)
     if n_steps > index(bound):
         raise OrderBoundExceeded(f"order {clip(n_steps)} exceeds the bound {clip(bound)}")
+    if g.n * n_steps > WORK_BOUND:
+        raise OrderBoundExceeded(
+            f"{clip(g.n)} symbols times order {clip(n_steps)} exceeds the work bound "
+            f"{WORK_BOUND} symbol-steps"
+        )
     hits = orbit_scan(g, v, w, n_steps)
     if not hits:
         return NOT_IN_ORBIT

@@ -6,9 +6,12 @@
 # closed (>&-, which leaves the interpreter no sys.stdout), an
 # out-of-range --max-i, a perm line that uses an index twice, 10,000 coprime
 # lines read per atom by a reader that stops after one line, a YES and a NO
-# instance of 200,000 symbols on one 200,000-cycle within 20 s each, the
-# 39-name public surface, and the modules the CLI loads (neither the
-# deferred ones nor dataclasses and inspect).
+# instance of 200,000 symbols on one 200,000-cycle within 20 s each, an
+# instance whose alphabet holds a no-break space and a NEL (symbols, not
+# whitespace or a line end), the oracle's exit 3 within 5 s on one
+# 100,000-cycle (order 10^5 is inside its bound, 10^10 symbol-steps are past
+# its work bound), the 39-name public surface, and the modules the CLI loads
+# (neither the deferred ones nor dataclasses and inspect).
 #
 # Run it in an empty scratch directory, where it writes its input files:
 #   bash tests/cli_smoke.sh
@@ -69,5 +72,12 @@ set -e
 test "$periodic_out" = "YES r=1 solutions=1+2Z"
 test "$shifted_out" = "NO"
 test "$shifted_code" -eq 1
+printf 'n 2\nalphabet \xc2\xa0\xc2\x85\nperm (1,2)\nv \xc2\xa0\xc2\x85\nw \xc2\x85\xc2\xa0\n' > spaces.txt
+test "$($CYCLORBIT solve spaces.txt)" = "YES r=1 solutions=1+2Z"
+$PYTHON -c "n = 10**5; z = '0' * n; perm = '(' + ','.join(map(str, range(1, n + 1))) + ')'; open('cycle.txt', 'w').write(f'n {n}\nalphabet 01\nperm {perm}\nv {z}\nw {z}\n')"
+set +e
+timeout 5 $CYCLORBIT oracle cycle.txt > /dev/null 2>&1; cycle_code=$?
+set -e
+test "$cycle_code" -eq 3
 $PYTHON -c "import cyclorbit; assert len(cyclorbit.__all__) == 39 and not hasattr(cyclorbit, 'factorize')"
 $PYTHON -c "import sys, cyclorbit.cli; assert not {'cyclorbit.analysis', 'cyclorbit.bench', 'cyclorbit.crt_solver', 'cyclorbit.oracle', 'dataclasses', 'inspect'} & sys.modules.keys()"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -65,6 +66,26 @@ def test_primes_then_pairs_reads_every_m_first(monkeypatch):
     monkeypatch.setattr("cyclorbit.bench._measure_planted", lambda *args: drawn.append(args))
     with pytest.raises(ValueError, match=">= 0, got -1"):
         run_primes_then_pairs_scaling(1, ms=(0, -1))
+    assert drawn == []
+
+
+@pytest.mark.parametrize(
+    ("call", "error", "message"),
+    [
+        pytest.param(lambda: run_random_scaling(sizes=(2 * 10**5, 0)), ValueError,
+                     "size must be >= 1, got 0", id="run_random_scaling-size-0"),
+        pytest.param(lambda: run_random_scaling(sizes=(2 * 10**5, "x")), TypeError,
+                     "'str' object cannot be interpreted as an integer",
+                     id="run_random_scaling-size-str"),
+        pytest.param(lambda: ratio_band(ScalingReport("random", 0, 1, [])), ValueError,
+                     "no rows in the requested window", id="ratio_band-no-rows"),
+    ],
+)
+def test_measurements_read_their_input_first(monkeypatch, call, error, message):
+    drawn = []
+    monkeypatch.setattr("cyclorbit.bench._random_orbit_instance", lambda *args: drawn.append(args))
+    with pytest.raises(error, match=re.escape(message)):
+        call()
     assert drawn == []
 
 

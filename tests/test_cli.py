@@ -2,11 +2,19 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import cyclorbit
-from cyclorbit import OrbitAnswer, Permutation, apply_power, format_permutation, progression
+from cyclorbit import (
+    CongruenceSystem,
+    OrbitAnswer,
+    Permutation,
+    apply_power,
+    format_permutation,
+    progression,
+)
 from cyclorbit.cli import (
     EXIT_BOUND,
     EXIT_INPUT,
@@ -16,6 +24,7 @@ from cyclorbit.cli import (
     main,
     parse_instance_text,
 )
+from cyclorbit.congruence import SystemFormatError
 from cyclorbit.permutation import cycles_of_mapping
 
 EXAMPLE = """\
@@ -65,6 +74,67 @@ def test_parse_instance_errors():
         assert fragment in str(exc.value), text
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("n 2\nalphabet \xa0a\nperm (1,2)\nv a\xa0\nw \xa0a\n", id="no-break-space"),
+        pytest.param("n 2\nalphabet a\x85\nperm (1,2)\nv a\x85\nw \x85a\n", id="NEL"),
+        pytest.param("n 2\nalphabet \u2028\x0c\nperm (1,2)\nv \u2028\x0c\nw \x0c\u2028\n",
+                     id="line-separator-and-form-feed"),
+    ],
+)
+def test_whitespace_and_line_boundaries_are_symbols(tmp_path, capsys, text):
+    # a line ends at a newline and only spaces and tabs are trimmed, so any
+    # other character that Python counts as a line boundary or as whitespace
+    # is a symbol
+    inst = parse_instance_text(text)
+    assert len(inst.alphabet) == 2 and text.endswith(f"\nv {inst.v}\nw {inst.w}\n")
+    path = tmp_path / "inst.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path)]) == EXIT_YES
+    assert capsys.readouterr().out == "YES r=1 solutions=1+2Z\n"
+    v = text.split("\n")[3]
+    with pytest.raises(InstanceError) as exc:
+        parse_instance_text(text.replace(v, v[:-1] + "\u2029"))
+    assert str(exc.value) == r"line 4: v has symbol '\u2029' outside the alphabet (at position 1)"
+
+
+def test_spaces_tabs_and_carriage_returns_are_trimmed():
+    text = "n 3\r\nalphabet \t ab\t\r\nperm  (1,2,3) \r\n\t\r\nv\tx\nv  aab\nw \tbaa \t\n"
+    with pytest.raises(InstanceError, match="line 5: unknown key 'v\\\\tx'"):
+        parse_instance_text(text)
+    inst = parse_instance_text(text.replace("v\tx\n", ""))
+    assert (inst.alphabet, inst.v, inst.w) == ("ab", "aab", "baa")
+
+
+def test_symbol_outside_a_non_ascii_alphabet_is_named_with_its_position():
+    for v, message in [
+        ("αδεδ", "line 4: v has symbol 'δ' outside the alphabet (at position 1)"),
+        ("αβγ\U0001F600",
+         "line 4: v has symbol '\U0001F600' outside the alphabet (at position 3)"),
+        ("\U0001F600ααα",
+         "line 4: v has symbol '\U0001F600' outside the alphabet (at position 0)"),
+    ]:
+        text = f"n 4\nalphabet αβγ\nperm (1,2)\nv {v}\nw αβαβ\n"
+        with pytest.raises(InstanceError) as exc:
+            parse_instance_text(text)
+        assert str(exc.value) == message
+    text = "n 2\nalphabet αβ\nperm (1,2)\nv αβ\nw αγ\n"
+    with pytest.raises(InstanceError, match="line 5: w has symbol 'γ' outside the alphabet "
+                                            r"\(at position 1\)"):
+        parse_instance_text(text)
+
+
+def test_system_lines_end_at_newlines_only():
+    # NEL, a line separator, a lone carriage return and a form feed do not end a line
+    with pytest.raises(SystemFormatError, match="^line 2: modulus must be >= 1, got 0$"):
+        CongruenceSystem.from_text("# a\x85b\n1 mod 0\n")
+    for sep in ("\u2028", "\r", "\x0c"):
+        with pytest.raises(SystemFormatError, match="^line 1: expected 'a mod b'"):
+            CongruenceSystem.from_text(f"1 mod 2{sep}3 mod 5\n")
+    assert CongruenceSystem.from_text("1 mod 2\r\n\r\n1 mod 3\r\n").equations == ((1, 2), (1, 3))
+
+
 def test_solve_yes(tmp_path, capsys):
     path = write(tmp_path, "inst.txt", EXAMPLE)
     assert main(["solve", path]) == EXIT_YES
@@ -101,6 +171,21 @@ def test_oracle_negative_bound(tmp_path, capsys):
     path = write(tmp_path, "inst.txt", "n 2\nalphabet 01\nperm\nv 01\nw 01\n")
     assert main(["oracle", path, "--bound", "-1"]) == EXIT_BOUND
     assert capsys.readouterr().err == "error: order 1 exceeds the bound -1\n"
+
+
+def test_oracle_work_bound(tmp_path, capsys):
+    # order 10^5 is inside the default bound, but the scan's 10^10 symbol-steps are not
+    n = 10**5
+    perm = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+    text = f"n {n}\nalphabet 01\nperm {perm}\nv {'0' * n}\nw {'0' * n}\n"
+    path = write(tmp_path, "inst.txt", text)
+    t0 = time.perf_counter()
+    assert main(["oracle", path]) == EXIT_BOUND
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err == (
+        "error: 100000 symbols times order 100000 exceeds the work bound 100000000 symbol-steps\n"
+    )
+    assert main(["solve", path]) == EXIT_YES
 
 
 def test_solve_malformed(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -74,6 +75,28 @@ def test_order_bound():
     finally:
         sys.set_int_max_str_digits(limit)
     assert str(exc.value) == "order <2142-bit integer> exceeds the bound 10"
+
+
+def test_work_bound(monkeypatch):
+    # one 10^5-cycle has order 10^5, inside the order bound, yet its scan
+    # takes n * order = 10^10 symbol-steps: minutes, so it is refused at once
+    n = 10**5
+    g = Permutation(n, [list(range(1, n + 1))])
+    v = "0" * (n - 1) + "1"
+    t0 = time.perf_counter()
+    with pytest.raises(OrderBoundExceeded) as exc:
+        brute_force_orbit(g, v, v)
+    assert time.perf_counter() - t0 < 1
+    assert str(exc.value) == (
+        "100000 symbols times order 100000 exceeds the work bound 100000000 symbol-steps"
+    )
+    # the work bound is inclusive, as the order bound is
+    g = Permutation(3, [(1, 2, 3)])
+    monkeypatch.setattr(oracle, "WORK_BOUND", 9)
+    assert brute_force_orbit(g, "001", "100") == OrbitAnswer(True, ArithmeticProgression(1, 3))
+    monkeypatch.setattr(oracle, "WORK_BOUND", 8)
+    with pytest.raises(OrderBoundExceeded):
+        brute_force_orbit(g, "001", "100")
 
 
 def test_length_mismatch():

@@ -87,6 +87,19 @@ def test_fields_are_frozen(value, twin, fields, text):
     assert repr(value) == text
 
 
+def test_repr_names_an_int_past_the_digit_limit_by_its_bit_length():
+    huge = 10**5000
+    wide = f"<{huge.bit_length()}-bit integer>"
+    assert repr(progression(1, huge)) == f"ArithmeticProgression(offset=1, period={wide})"
+    assert repr(CongruenceSystem([(1, huge)])) == f"CongruenceSystem(equations=((1, {wide}),))"
+    assert repr(OrbitAnswer(True, progression(1, huge))) == (
+        f"OrbitAnswer(in_orbit=True, solutions=ArithmeticProgression(offset=1, period={wide}))"
+    )
+    # tuples of every length keep Python's own repr
+    for equations in ((), ((1, 2),), ((1, 2), (0, 3), (4, 5))):
+        assert repr(CongruenceSystem(equations)) == f"CongruenceSystem(equations={equations!r})"
+
+
 def test_class_patterns_read_match_args():
     match OrbitAnswer(True, AP):
         case OrbitAnswer(True, ArithmeticProgression(offset, period)):
