@@ -14,6 +14,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 from .bench import _random_orbit_instance
 from .congruence import CostCounter, at_least, clip, solve_system
@@ -182,6 +183,7 @@ def measure_average_cost(n: int, trials: int, rng_seed: int) -> AverageCostStats
     """
     n = at_least(n, 1, "n")
     trials = at_least(trials, 1, "trials")
+    rng_seed = index(rng_seed)
     rows = []
     for t in range(trials):
         g, v, r, w = _random_orbit_instance(n, rng_seed, t)

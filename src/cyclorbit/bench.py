@@ -12,6 +12,7 @@ import random
 import statistics
 import time
 from dataclasses import astuple, dataclass, fields
+from operator import index
 
 from .congruence import CostCounter, at_least, expect
 from .orbit import decide_orbit
@@ -127,6 +128,7 @@ def run_primorial_scaling(
     """
     i_max = at_least(i_max, 1, "i_max")
     repeats = at_least(repeats, 1, "repeats")
+    rng_seed = index(rng_seed)
     rng = random.Random(rng_seed)
     rows = [
         _measure_planted(primorial_permutation(i), f"i={i}", rng, repeats)
@@ -147,6 +149,7 @@ def run_primes_then_pairs_scaling(
     run_primorial_scaling.
     """
     repeats = at_least(repeats, 1, "repeats")
+    rng_seed = index(rng_seed)
     ms = [at_least(m, 0, "m") for m in ms]
     primes = primorial_permutation(i)
     rng = random.Random(rng_seed)
@@ -165,6 +168,7 @@ def run_random_scaling(
 ) -> ScalingReport:
     """Decide one in-orbit instance per size over uniform random permutations."""
     repeats = at_least(repeats, 1, "repeats")
+    rng_seed = index(rng_seed)
     sizes = [at_least(n, 1, "size") for n in sizes]
     rows = []
     for idx, n in enumerate(sizes):

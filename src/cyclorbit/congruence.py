@@ -196,24 +196,24 @@ def expect(value, kind: type, what: str, optional: bool = False):
 
 
 def parse_int(token: str, what: str) -> int:
-    """int(token), or a ValueError that names what and echoes at most a
+    """The int written by token, an optional sign and ASCII digits and
+    nothing else, or a ValueError that names what and echoes at most a
     clipped token.  A decimal past the interpreter's digit limit is reported
-    by its digit count.  Python's digit separator _ is refused, as cycle
-    notation refuses it."""
-    if "_" not in token:
-        try:
-            return int(token)
-        except ValueError:
-            pass
-    digits = token.strip()
-    if digits[:1] in ("+", "-"):
-        digits = digits[1:]
-    if digits.isdecimal():
+    by its digit count.  So no space, digit separator _ or non-ASCII digit
+    is read, as cycle notation reads none."""
+    if token.isdigit() and token.isascii():  # unsigned, the common case
+        digits = token
+    else:
+        digits = token[1:] if token[:1] in ("+", "-") else ""
+        if not (digits.isdigit() and digits.isascii()):
+            raise ValueError(f"{what} must be an integer, got {clip(repr(token))}")
+    try:
+        return int(token)
+    except ValueError:  # past the digit limit, the one way int refuses digits
         raise ValueError(
             f"{what} has {len(digits)} digits, more than the "
             f"{sys.get_int_max_str_digits()} allowed"
-        )
-    raise ValueError(f"{what} must be an integer, got {clip(repr(token))}")
+        ) from None
 
 
 def content_lines(text: str):
@@ -279,6 +279,8 @@ class CongruenceSystem(FrozenValue):
     def from_text(cls, text: str) -> "CongruenceSystem":
         """Parse lines of the form "a mod b"; blank lines and # comments are skipped.
 
+        a and b are read by parse_int, so each is an optional sign and ASCII
+        digits, and a line holding any other non-ASCII character is refused.
         The parse loop only parses and the constructor makes the one check
         of each equation.  Every error names the first bad line: before a
         line that does not parse is reported, the equations above it are
@@ -289,9 +291,12 @@ class CongruenceSystem(FrozenValue):
         for lineno, line in content_lines(text):
             parts = line.split()
             try:
-                if len(parts) != 3 or parts[1] != "mod":
-                    raise ValueError(f"expected 'a mod b', got {clip(repr(line))}")
-                eqs.append((parse_int(parts[0], "residue"), parse_int(parts[2], "modulus")))
+                if len(parts) == 3 and parts[1] == "mod":
+                    eq = parse_int(parts[0], "residue"), parse_int(parts[2], "modulus")
+                    if line.isascii():  # else non-ASCII whitespace separates the tokens
+                        eqs.append(eq)
+                        continue
+                raise ValueError(f"expected 'a mod b', got {clip(repr(line))}")
             except ValueError as exc:
                 _report_first_bad_equation(text, eqs)
                 raise SystemFormatError(str(exc), lineno) from None

@@ -24,12 +24,13 @@ ever recomputed.  A modulus takes one gcd with each group's product and
 gcds with single keys only in the groups whose product shares a factor with
 it.  A new group is opened once the last holds about sqrt(K) of the K keys,
 so a modulus that meets one group costs O(sqrt K) gcds rather than O(K).
+A group is a set of keys, taken by factorize in no fixed order; that order
+moves the order of a modulus's atoms and their charges, not the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from math import gcd, isqrt, prod
 
 from .congruence import CongruenceSystem, at_least, expect
@@ -100,43 +101,39 @@ class CoprimeBase(dict):
     """A coprime base: each key maps to its level table (see decide_solvable).
 
     Keys enter and leave only through factorize.  Group i holds members[i],
-    which maps each of its keys to the key's rank, the order in which it
-    joined the base (so ranks follow the dict's order), and products[i], the
-    product of the keys the group was given.  product_bits is the sum of
-    bit_length() + 1 over the products, the width charged per modulus.
+    the set of its keys, and products[i], the product of the keys the group
+    was given.  product_bits is the sum of bit_length() + 1 over the
+    products, the width charged per modulus.
     """
 
     def __init__(self):
         super().__init__()
         self.products: list[int] = []
-        self.members: list[dict[int, int]] = []
+        self.members: list[set[int]] = []
         self.product_bits = 0
-        self._ranks = count()
 
     def hits(self, b: int, stats: CrtStats) -> list[tuple[int, int]]:
-        """(key, group) for each key sharing a factor with b, in the base's
-        order; each gcd taken is charged at its operands' widths."""
+        """(key, group) for each key sharing a factor with b, group by group;
+        each gcd taken is charged at its operands' widths."""
         width = b.bit_length() + 1
         stats.bit_ops += width * self.product_bits
         found = []
         for i, product in enumerate(self.products):
             if gcd(b, product) > 1:
-                for y, rank in self.members[i].items():
+                for y in self.members[i]:
                     stats.bit_ops += width * (y.bit_length() + 1)
                     if gcd(b, y) > 1:
-                        found.append((rank, y, i))
-        found.sort()
-        return [(y, i) for _, y, i in found]
+                        found.append((y, i))
+        return found
 
     def split(self, y: int, group: int, tables: dict[int, list[int]]) -> None:
         """Replace the key y of the given group by the pieces in tables; they
         have y's prime factors, so the group's product still covers them."""
         del self[y]
+        self.update(tables)
         members = self.members[group]
-        del members[y]
-        for q, table in tables.items():
-            self[q] = table
-            members[q] = next(self._ranks)
+        members.remove(y)
+        members.update(tables)
 
     def add(self, q: int) -> None:
         """Take q, coprime to every key, as a new key with an empty table."""
@@ -146,11 +143,11 @@ class CoprimeBase(dict):
             self.product_bits -= product.bit_length() + 1
         else:
             product = 1
-            self.members.append({})
+            self.members.append(set())
         product *= q
         self.products.append(product)
         self.product_bits += product.bit_length() + 1
-        self.members[-1][q] = next(self._ranks)
+        self.members[-1].add(q)
 
 
 def factorize(

@@ -244,7 +244,7 @@ def format_permutation(g: Permutation) -> str:
         raise ValueError(f"index {top} is past the digit limit of cycle notation") from None
 
 
-_TOKEN = re.compile(r"\d+|\S")
+_TOKEN = re.compile(r"[0-9]+|[^ \t]")
 
 # deletes every character that whitespace-free cycle notation may hold
 _NOT_NOTATION = str.maketrans("", "", "0123456789(),")
@@ -253,10 +253,13 @@ _NOT_NOTATION = str.maketrans("", "", "0123456789(),")
 def parse_permutation(text: str, n: int) -> Permutation:
     """Parse cycle notation like "(6,5,7,3,2,1)(4,8)" into a Permutation of [1, n].
 
-    Whitespace is allowed between cycles and around indices.  Blank text is
-    the identity.  Raises CycleNotationError carrying the character position
-    of the first problem: bad syntax, an index outside [1, n] or past the
-    interpreter's digit limit, or an index used twice.
+    n is read first, so a degree that is not an int raises TypeError and one
+    below 1 ValueError, before the text is read.  An index is ASCII digits;
+    spaces and tabs are allowed between cycles and around indices, and no
+    other whitespace.  Blank text is the identity.  Raises
+    CycleNotationError carrying the character position of the first
+    problem: bad syntax, an index outside [1, n] or past the interpreter's
+    digit limit, or an index used twice.
 
     Text of only 0-9, parentheses and commas that starts with ( and ends
     with ) is read in bulk by json: with ")(" turned into "],[" and the
@@ -266,6 +269,7 @@ def parse_permutation(text: str, n: int) -> Permutation:
     the token scanner, which finds and reports the problem, so both paths
     give the same result or the same error.
     """
+    n = at_least(n, 1, "degree")
     expect(text, str, "text")
     if text[:1] == "(" and text[-1:] == ")" and not text.translate(_NOT_NOTATION):
         try:
@@ -289,7 +293,7 @@ def _scan_permutation(text: str, n: int) -> Permutation:
             elems = []
             want_index = True
         elif want_index:
-            if not tok.isdecimal():
+            if not (tok.isascii() and tok.isdecimal()):
                 raise CycleNotationError("expected a cycle index", m.start())
             try:
                 val = parse_int(tok, "index")

@@ -8,10 +8,11 @@
 # lines read per atom by a reader that stops after one line, a YES and a NO
 # instance of 200,000 symbols on one 200,000-cycle within 20 s each, an
 # instance whose alphabet holds a no-break space and a NEL (symbols, not
-# whitespace or a line end), the oracle's exit 3 within 5 s on one
-# 100,000-cycle (order 10^5 is inside its bound, 10^10 symbol-steps are past
-# its work bound), the 39-name public surface, and the modules the CLI loads
-# (neither the deferred ones nor dataclasses and inspect).
+# whitespace or a line end), a residue and a perm index in Arabic-Indic
+# digits (exit 2: numbers are ASCII digits), the oracle's exit 3 within 5 s
+# on one 100,000-cycle (order 10^5 is inside its bound, 10^10 symbol-steps
+# are past its work bound), the 39-name public surface, and the modules the
+# CLI loads (neither the deferred ones nor dataclasses and inspect).
 #
 # Run it in an empty scratch directory, where it writes its input files:
 #   bash tests/cli_smoke.sh
@@ -74,6 +75,15 @@ test "$shifted_out" = "NO"
 test "$shifted_code" -eq 1
 printf 'n 2\nalphabet \xc2\xa0\xc2\x85\nperm (1,2)\nv \xc2\xa0\xc2\x85\nw \xc2\x85\xc2\xa0\n' > spaces.txt
 test "$($CYCLORBIT solve spaces.txt)" = "YES r=1 solutions=1+2Z"
+printf '\xd9\xa1 mod 2\n' > arabic.txt
+printf 'n 2\nalphabet 01\nperm (1,\xd9\xa2)\nv 01\nw 10\n' > arabic_perm.txt
+set +e
+arabic_err="$($CYCLORBIT congruence arabic.txt 2>&1 > /dev/null)"; arabic_code=$?
+$CYCLORBIT solve arabic_perm.txt > /dev/null 2>&1; arabic_perm_code=$?
+set -e
+test "$arabic_code" -eq 2
+[[ $arabic_err == "error: line 1: residue must be an integer"* ]]
+test "$arabic_perm_code" -eq 2
 $PYTHON -c "n = 10**5; z = '0' * n; perm = '(' + ','.join(map(str, range(1, n + 1))) + ')'; open('cycle.txt', 'w').write(f'n {n}\nalphabet 01\nperm {perm}\nv {z}\nw {z}\n')"
 set +e
 timeout 5 $CYCLORBIT oracle cycle.txt > /dev/null 2>&1; cycle_code=$?

@@ -13,6 +13,7 @@ from cyclorbit import (
     Permutation,
     apply,
     instance_size_bits,
+    measure_average_cost,
     ratio_band,
     run_primes_then_pairs_scaling,
     run_primorial_scaling,
@@ -79,6 +80,18 @@ def test_primes_then_pairs_reads_every_m_first(monkeypatch):
                      id="run_random_scaling-size-str"),
         pytest.param(lambda: ratio_band(ScalingReport("random", 0, 1, [])), ValueError,
                      "no rows in the requested window", id="ratio_band-no-rows"),
+        pytest.param(lambda: run_primorial_scaling(2, rng_seed=1.5), TypeError,
+                     "'float' object cannot be interpreted as an integer",
+                     id="run_primorial_scaling-seed-float"),
+        pytest.param(lambda: run_primes_then_pairs_scaling(1, ms=(0,), rng_seed="1"), TypeError,
+                     "'str' object cannot be interpreted as an integer",
+                     id="run_primes_then_pairs_scaling-seed-str"),
+        pytest.param(lambda: run_random_scaling((10,), rng_seed=[1]), TypeError,
+                     "'list' object cannot be interpreted as an integer",
+                     id="run_random_scaling-seed-list"),
+        pytest.param(lambda: measure_average_cost(3, 1, "x"), TypeError,
+                     "'str' object cannot be interpreted as an integer",
+                     id="measure_average_cost-seed-str"),
     ],
 )
 def test_measurements_read_their_input_first(monkeypatch, call, error, message):

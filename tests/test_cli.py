@@ -67,6 +67,11 @@ def test_parse_instance_errors():
         # every number in a file has one grammar: no _ separators, as in perm
         ("n 1_0\nalphabet 01\nperm \nv 01\nw 01\n", "line 1: n must be an integer, got '1_0'"),
         ("n 10\nalphabet 01\nperm (1_0)\nv 01\nw 01\n", "line 3"),
+        # and ASCII digits only: int() reads any decimal digit and strips any whitespace
+        ("n \u3000 2\xa0\nalphabet 01\nperm (1,2)\nv 01\nw 10\n",
+         "line 1: n must be an integer, got '\\u3000 2\\xa0'"),
+        ("n 2\nalphabet 01\nperm (1,\u0662)\nv 01\nw 10\n",
+         "line 3: expected a cycle index (at position 3)"),
     ]
     for text, fragment in cases:
         with pytest.raises(InstanceError) as exc:

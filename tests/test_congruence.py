@@ -106,6 +106,8 @@ def test_system_from_text_echoes_the_parsed_integers():
         ("1 mod 2\n0 mod -0", "line 2: modulus must be >= 1, got 0"),
         ("1_0 mod 1_1", "line 1: residue must be an integer, got '1_0'"),
         ("1 mod 2\n1 mod 1_1", "line 2: modulus must be an integer, got '1_1'"),
+        ("\u0661 mod 2", "line 1: residue must be an integer, got '\u0661'"),
+        ("1 mod 2\n1\xa0mod 3", "line 2: expected 'a mod b', got '1\\xa0mod 3'"),
     ]:
         with pytest.raises(SystemFormatError) as exc:
             CongruenceSystem.from_text(text)

@@ -355,10 +355,10 @@ def _flat_hits(levels, b):
 
 
 def _check_groups(levels):
-    """Every key sits in one group, ranked in the base's order, and each
-    group's product has exactly the prime factors of its keys."""
-    ranked = sorted((rank, y) for members in levels.members for y, rank in members.items())
-    assert [y for _, y in ranked] == list(levels)
+    """Every key of the base sits in exactly one group, and each group's
+    product has exactly the prime factors of its keys."""
+    grouped = [y for members in levels.members for y in members]
+    assert sorted(grouped) == sorted(levels)
     for product, members in zip(levels.products, levels.members):
         assert members
         assert all(pow(product, y.bit_length(), y) == 0 for y in members)
@@ -381,10 +381,35 @@ def test_group_hits_match_flat_scan(moduli):
     # moduli sharing small factors split keys that already sit in groups
     levels = CoprimeBase()
     for b in moduli:
-        flat = _flat_hits(levels, b)
-        assert [y for y, _ in levels.hits(b, CrtStats())] == flat
+        hit = [y for y, _ in levels.hits(b, CrtStats())]
+        assert len(set(hit)) == len(hit)
+        assert sorted(hit) == sorted(_flat_hits(levels, b))
         factorize(b, levels)
         _check_groups(levels)
+
+
+shared_factor_systems = st.lists(
+    st.builds(
+        lambda s, m, a: (a % (s * m), s * m),
+        st.sampled_from([1, 2, 3, 4, 6, 9, 10, 12, 15, 30]),
+        st.integers(1, 10**4),
+        st.integers(0, 10**9),
+    ),
+    max_size=40,
+).map(lambda eqs: CongruenceSystem(tuple(eqs)))
+
+
+@settings(max_examples=100)
+@given(st.lists(shared_factor_systems, min_size=1, max_size=4))
+def test_fresh_runs_give_identical_stats(systems):
+    # the keys of a group come out of a set: two fresh runs over the same
+    # systems must still agree on every count and every atom
+    runs = []
+    for _ in range(2):
+        stats = CrtStats()
+        verdicts = [decide_solvable(sys_, stats) for sys_ in systems]
+        runs.append((verdicts, stats))
+    assert runs[0] == runs[1]
 
 
 def _odd_primes(count):

@@ -289,6 +289,8 @@ def test_parse_error_positions():
         ("(1", 2, "expected ',' or ')'"),
         # a superscript two is a digit to str.isdigit but not a decimal one
         ("(1,²)", 3, "expected a cycle index"),
+        # only spaces and tabs are skipped
+        ("(1,\xa02)", 3, "expected a cycle index"),
         ("(1," + "9" * 5000 + ")", 3,
          f"index has 5000 digits, more than the {sys.get_int_max_str_digits()} allowed"),
     ]:
@@ -351,7 +353,7 @@ def test_parse_errors_left_to_scanner():
         ("(0,1)", 8, 1, "index 0 outside [1, 8]"),
         ("(1,1)", 8, 3, "index 1 already used"),
         ("(1,2)(2,3)", 8, 6, "index 2 already used"),
-        ("(1,٣)", 2, 3, "index 3 outside [1, 2]"),
+        ("(1,٣)", 2, 3, "expected a cycle index"),
         (f"({big},{big})", 10**30, 21, f"index {big} already used"),
     ]:
         with pytest.raises(CycleNotationError) as exc:
@@ -362,9 +364,19 @@ def test_parse_errors_left_to_scanner():
     assert parse_permutation(f"(1,{big})", 10**30) == Permutation(10**30, [(1, int(big))])
 
 
+def test_parse_reads_its_degree_first():
+    with pytest.raises(ValueError, match=r"^degree must be >= 1, got 0$") as exc:
+        parse_permutation("(1,2)", 0)
+    assert not isinstance(exc.value, CycleNotationError)
+    for n in ("2", None):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            parse_permutation("(1, 2)", n)
+
+
 def test_parse_allows_whitespace():
     g = parse_permutation(" ( 1 , 2 )  (3,4) ", 4)
     assert g == Permutation(4, [(1, 2), (3, 4)])
+    assert parse_permutation("\t(1,\t2) ", 4) == Permutation(4, [(1, 2)])
 
 
 @given(permutations_st)
